@@ -142,15 +142,6 @@ std::string DiagnosticList::RenderAll() const {
   return out.str();
 }
 
-std::string DiagnosticList::RenderAllPretty(std::string_view source) const {
-  std::ostringstream out;
-  for (size_t i = 0; i < items_.size(); ++i) {
-    if (i > 0) out << "\n";
-    out << items_[i].RenderPretty(source);
-  }
-  return out.str();
-}
-
 Status DiagnosticList::ToStatus() const {
   if (!has_errors()) return Status::OK();
   std::ostringstream out;

@@ -1,6 +1,7 @@
 #include "core/mdbs_system.h"
 
 #include <algorithm>
+#include <span>
 
 #include "analysis/dol_verifier.h"
 #include "analysis/msql_checker.h"
@@ -189,7 +190,8 @@ Status MultidatabaseSystem::RunLocalSql(std::string_view service,
   return engine->CloseSession(session);
 }
 
-Result<MsqlQuery> MultidatabaseSystem::ResolveScope(const MsqlQuery& query) {
+Result<MsqlQuery> MultidatabaseSystem::ResolveScope(
+    const MsqlQuery& query, const UseClause& scope) const {
   MsqlQuery resolved = query.CloneQuery();
   // Virtual databases: a USE entry naming a multidatabase stands for its
   // members (VITAL distributes over them; aliases cannot rename a set).
@@ -219,7 +221,7 @@ Result<MsqlQuery> MultidatabaseSystem::ResolveScope(const MsqlQuery& query) {
   if (resolved.use.current) {
     // Inherit the session scope, then append the newly named databases
     // that are not already in it.
-    std::vector<lang::UseEntry> merged = current_scope_.entries;
+    std::vector<lang::UseEntry> merged = scope.entries;
     for (const auto& entry : resolved.use.entries) {
       bool exists = false;
       for (const auto& have : merged) {
@@ -237,7 +239,6 @@ Result<MsqlQuery> MultidatabaseSystem::ResolveScope(const MsqlQuery& query) {
     return Status::InvalidArgument(
         "no query scope: issue a USE statement naming the databases");
   }
-  current_scope_ = resolved.use;
   return resolved;
 }
 
@@ -252,133 +253,72 @@ Result<ExecutionReport> MultidatabaseSystem::Execute(
     return lang::MsqlParser::ParseOne(msql_text);
   }();
   MSQL_RETURN_IF_ERROR(parsed.status());
-  lang::MsqlInput& input = *parsed;
-  exec_span.Annotate("kind", InputKindName(input.kind));
-  auto report = ExecuteInput(input);
-  if (report.ok()) {
-    FinishInputSpan(&exec_span, top_level, &*report);
-    LogInput(input.kind, *report);
-  }
-  return report;
-}
-
-Result<ExecutionReport> MultidatabaseSystem::ExecuteInput(
-    const lang::MsqlInput& input) {
-  switch (input.kind) {
-    case lang::MsqlInput::Kind::kQuery:
-      return ExecuteQuery(*input.query);
-    case lang::MsqlInput::Kind::kMultiTransaction:
-      return ExecuteMultiTransaction(*input.multitransaction);
-    case lang::MsqlInput::Kind::kIncorporate: {
-      MSQL_RETURN_IF_ERROR(ExecuteIncorporate(*input.incorporate));
-      ExecutionReport report;
-      report.outcome = GlobalOutcome::kSuccess;
-      return report;
-    }
-    case lang::MsqlInput::Kind::kImport: {
-      MSQL_ASSIGN_OR_RETURN(auto imported, ExecuteImport(*input.import));
-      (void)imported;
-      ExecutionReport report;
-      report.outcome = GlobalOutcome::kSuccess;
-      return report;
-    }
-    case lang::MsqlInput::Kind::kAnalyze: {
-      MSQL_ASSIGN_OR_RETURN(auto analyzed, ExecuteAnalyze(*input.analyze));
-      (void)analyzed;
-      ExecutionReport report;
-      report.outcome = GlobalOutcome::kSuccess;
-      return report;
-    }
-    case lang::MsqlInput::Kind::kCreateMultidatabase:
-      MSQL_RETURN_IF_ERROR(
-          ExecuteCreateMultidatabase(*input.create_multidatabase));
-      return ExecutionReport{};
-    case lang::MsqlInput::Kind::kDropMultidatabase:
-      MSQL_RETURN_IF_ERROR(
-          ExecuteDropMultidatabase(*input.drop_multidatabase));
-      return ExecutionReport{};
-    case lang::MsqlInput::Kind::kCreateView:
-      MSQL_RETURN_IF_ERROR(ExecuteCreateView(*input.create_view));
-      return ExecutionReport{};
-    case lang::MsqlInput::Kind::kDropView:
-      MSQL_RETURN_IF_ERROR(ExecuteDropView(*input.drop_view));
-      return ExecutionReport{};
-    case lang::MsqlInput::Kind::kCreateTrigger:
-      MSQL_RETURN_IF_ERROR(ExecuteCreateTrigger(*input.create_trigger));
-      return ExecutionReport{};
-    case lang::MsqlInput::Kind::kDropTrigger:
-      MSQL_RETURN_IF_ERROR(ExecuteDropTrigger(*input.drop_trigger));
-      return ExecutionReport{};
-  }
-  return Status::Internal("unhandled MSQL input kind");
+  return ExecuteInput(*parsed, top_level, &exec_span);
 }
 
 Result<std::vector<ExecutionReport>> MultidatabaseSystem::ExecuteScript(
     std::string_view msql_text) {
   MSQL_ASSIGN_OR_RETURN(auto inputs,
                         lang::MsqlParser::ParseScript(msql_text));
+  obs::Tracer& tracer = env_.tracer();
   std::vector<ExecutionReport> reports;
   for (const auto& input : inputs) {
-    switch (input.kind) {
-      case lang::MsqlInput::Kind::kQuery: {
-        MSQL_ASSIGN_OR_RETURN(auto report, ExecuteQuery(*input.query));
-        LogInput(input.kind, report);
-        reports.push_back(std::move(report));
-        break;
-      }
-      case lang::MsqlInput::Kind::kMultiTransaction: {
-        MSQL_ASSIGN_OR_RETURN(auto report,
-                              ExecuteMultiTransaction(*input.multitransaction));
-        LogInput(input.kind, report);
-        reports.push_back(std::move(report));
-        break;
-      }
-      case lang::MsqlInput::Kind::kIncorporate:
-        MSQL_RETURN_IF_ERROR(ExecuteIncorporate(*input.incorporate));
-        reports.emplace_back();
-        break;
-      case lang::MsqlInput::Kind::kImport: {
-        MSQL_ASSIGN_OR_RETURN(auto imported, ExecuteImport(*input.import));
-        (void)imported;
-        reports.emplace_back();
-        break;
-      }
-      case lang::MsqlInput::Kind::kAnalyze: {
-        MSQL_ASSIGN_OR_RETURN(auto analyzed,
-                              ExecuteAnalyze(*input.analyze));
-        (void)analyzed;
-        reports.emplace_back();
-        break;
-      }
-      case lang::MsqlInput::Kind::kCreateMultidatabase:
-        MSQL_RETURN_IF_ERROR(
-            ExecuteCreateMultidatabase(*input.create_multidatabase));
-        reports.emplace_back();
-        break;
-      case lang::MsqlInput::Kind::kDropMultidatabase:
-        MSQL_RETURN_IF_ERROR(
-            ExecuteDropMultidatabase(*input.drop_multidatabase));
-        reports.emplace_back();
-        break;
-      case lang::MsqlInput::Kind::kCreateView:
-        MSQL_RETURN_IF_ERROR(ExecuteCreateView(*input.create_view));
-        reports.emplace_back();
-        break;
-      case lang::MsqlInput::Kind::kDropView:
-        MSQL_RETURN_IF_ERROR(ExecuteDropView(*input.drop_view));
-        reports.emplace_back();
-        break;
-      case lang::MsqlInput::Kind::kCreateTrigger:
-        MSQL_RETURN_IF_ERROR(ExecuteCreateTrigger(*input.create_trigger));
-        reports.emplace_back();
-        break;
-      case lang::MsqlInput::Kind::kDropTrigger:
-        MSQL_RETURN_IF_ERROR(ExecuteDropTrigger(*input.drop_trigger));
-        reports.emplace_back();
-        break;
-    }
+    const bool top_level = tracer.enabled() && tracer.current_parent() == 0;
+    SnapshotProfileCounters(top_level);
+    obs::ScopedSpan exec_span(&tracer, "msql.execute", "frontend", 0);
+    MSQL_ASSIGN_OR_RETURN(auto report,
+                          ExecuteInput(input, top_level, &exec_span));
+    reports.push_back(std::move(report));
   }
   return reports;
+}
+
+Result<ExecutionReport> MultidatabaseSystem::ExecuteInput(
+    const lang::MsqlInput& input, bool top_level, obs::ScopedSpan* span) {
+  span->Annotate("kind", InputKindName(input.kind));
+  auto report = [&]() -> Result<ExecutionReport> {
+    switch (input.kind) {
+      case lang::MsqlInput::Kind::kQuery:
+        return ExecuteCompiled(&*input.query, nullptr);
+      case lang::MsqlInput::Kind::kMultiTransaction:
+        return ExecuteCompiled(nullptr, &*input.multitransaction);
+      default:
+        MSQL_RETURN_IF_ERROR(ExecuteCatalog(input));
+        return ExecutionReport{};
+    }
+  }();
+  if (report.ok()) {
+    FinishInputSpan(span, top_level, &*report);
+    LogInput(input.kind, *report);
+  }
+  return report;
+}
+
+Status MultidatabaseSystem::ExecuteCatalog(const lang::MsqlInput& input) {
+  switch (input.kind) {
+    case lang::MsqlInput::Kind::kIncorporate:
+      return ExecuteIncorporate(*input.incorporate);
+    case lang::MsqlInput::Kind::kImport:
+      return ExecuteImport(*input.import).status();
+    case lang::MsqlInput::Kind::kAnalyze:
+      return ExecuteAnalyze(*input.analyze).status();
+    case lang::MsqlInput::Kind::kCreateMultidatabase:
+      return ExecuteCreateMultidatabase(*input.create_multidatabase);
+    case lang::MsqlInput::Kind::kDropMultidatabase:
+      return ExecuteDropMultidatabase(*input.drop_multidatabase);
+    case lang::MsqlInput::Kind::kCreateView:
+      return ExecuteCreateView(*input.create_view);
+    case lang::MsqlInput::Kind::kDropView:
+      return ExecuteDropView(*input.drop_view);
+    case lang::MsqlInput::Kind::kCreateTrigger:
+      return ExecuteCreateTrigger(*input.create_trigger);
+    case lang::MsqlInput::Kind::kDropTrigger:
+      return ExecuteDropTrigger(*input.drop_trigger);
+    case lang::MsqlInput::Kind::kQuery:
+    case lang::MsqlInput::Kind::kMultiTransaction:
+      break;
+  }
+  return Status::Internal("not a catalog input");
 }
 
 Status MultidatabaseSystem::ExecuteIncorporate(
@@ -457,89 +397,81 @@ lang::CostContext MultidatabaseSystem::BuildCostContext() const {
   return ctx;
 }
 
-Result<ExecutionReport> MultidatabaseSystem::ExecuteQuery(
-    const MsqlQuery& query) {
+Result<ExecutionReport> MultidatabaseSystem::ExecuteCompiled(
+    const MsqlQuery* query, const lang::MultiTransaction* mt) {
   obs::Tracer& tracer = env_.tracer();
   const bool top_level = tracer.enabled() && tracer.current_parent() == 0;
   SnapshotProfileCounters(top_level);
-  obs::ScopedSpan query_span(&tracer, "msql.query", "frontend", 0);
-  auto report = ExecuteQueryImpl(query);
-  if (report.ok()) FinishInputSpan(&query_span, top_level, &*report);
+  obs::ScopedSpan input_span(
+      &tracer, mt != nullptr ? "msql.multitransaction" : "msql.query",
+      "frontend", 0);
+  CompiledInput compiled = Compile(query, mt, current_scope_);
+  auto report = compiled.form == CompiledInput::Form::kViewQuery
+                    ? ExecuteViewQuery(*query, compiled.view_name)
+                    : RunCompiled(std::move(compiled));
+  if (report.ok()) FinishInputSpan(&input_span, top_level, &*report);
   return report;
 }
 
-Result<ExecutionReport> MultidatabaseSystem::ExecuteQueryImpl(
-    const MsqlQuery& query) {
-  // A SELECT whose single FROM table names a multidatabase view is
-  // answered from the view definition (before scope resolution — the
-  // stored query carries its own USE).
-  if (query.body->kind() == StatementKind::kSelect) {
-    const auto& select =
-        static_cast<const relational::SelectStmt&>(*query.body);
-    if (select.from.size() == 1 && select.from[0].database.empty() &&
-        views_.count(ToLower(select.from[0].table)) > 0) {
-      return ExecuteViewQuery(query, ToLower(select.from[0].table));
-    }
-  }
-
-  MSQL_ASSIGN_OR_RETURN(PreparedInput prepared, PrepareQuery(query));
-  if (prepared.immediate.has_value()) return *std::move(prepared.immediate);
-  MSQL_RETURN_IF_ERROR(VerifyPreparedPlan(prepared.plan));
+Result<ExecutionReport> MultidatabaseSystem::RunCompiled(
+    CompiledInput compiled) {
+  MSQL_RETURN_IF_ERROR(CommitScope(&compiled));
+  if (!compiled.refusal.ok()) return RefusalReport(std::move(compiled));
+  MSQL_RETURN_IF_ERROR(VerifyCompiledPlan(compiled.plan));
   dol::DolEngine engine(&env_, retry_policy_);
-  auto run = engine.Run(prepared.plan.program);
-  return FinishPreparedRun(std::move(prepared), std::move(run));
+  auto run = engine.Run(compiled.plan.program);
+  return FinishRun(std::move(compiled), std::move(run));
 }
 
-Result<PreparedInput> MultidatabaseSystem::Prepare(
-    std::string_view msql_text) {
-  MSQL_ASSIGN_OR_RETURN(auto inputs, lang::MsqlParser::ParseScript(msql_text));
-  if (inputs.size() != 1) {
-    return Status::InvalidArgument(
-        "Prepare expects exactly one MSQL input, got " +
-        std::to_string(inputs.size()));
-  }
-  return PrepareInput(inputs[0]);
+CompiledInput MultidatabaseSystem::Compile(const lang::MsqlInput& input,
+                                           const UseClause& scope) {
+  return Compile(input.query ? &*input.query : nullptr,
+                 input.multitransaction ? &*input.multitransaction : nullptr,
+                 scope);
 }
 
-Result<PreparedInput> MultidatabaseSystem::PrepareInput(
-    const lang::MsqlInput& input) {
-  switch (input.kind) {
-    case lang::MsqlInput::Kind::kQuery:
-      return PrepareQuery(*input.query);
-    case lang::MsqlInput::Kind::kMultiTransaction:
-      return PrepareMultiTransaction(*input.multitransaction);
-    default:
-      return Status::InvalidArgument(
-          "only queries and multitransactions can be prepared for "
-          "concurrent execution");
-  }
-}
-
-Result<PreparedInput> MultidatabaseSystem::PrepareQuery(
-    const MsqlQuery& query) {
-  // View queries re-enter the serial front end per multitable element;
-  // they do not compile down to a single plan.
-  if (query.body->kind() == StatementKind::kSelect) {
+CompiledInput MultidatabaseSystem::Compile(const MsqlQuery* query,
+                                           const lang::MultiTransaction* mt,
+                                           const UseClause& scope) {
+  using Form = CompiledInput::Form;
+  CompiledInput out;
+  std::span<const MsqlQuery> queries(query, 1);
+  if (mt != nullptr) {
+    out.kind = lang::MsqlInput::Kind::kMultiTransaction;
+    queries = mt->queries;
+  } else if (query->body->kind() == StatementKind::kSelect) {
+    // A SELECT whose single FROM table names a multidatabase view is
+    // answered from the view definition, which carries its own USE: it
+    // compiles to no scope and no plan of its own.
     const auto& select =
-        static_cast<const relational::SelectStmt&>(*query.body);
+        static_cast<const relational::SelectStmt&>(*query->body);
     if (select.from.size() == 1 && select.from[0].database.empty() &&
         views_.count(ToLower(select.from[0].table)) > 0) {
-      return Status::InvalidArgument(
-          "multidatabase view queries execute serially and cannot be "
-          "prepared");
+      out.form = Form::kViewQuery;
+      out.view_name = ToLower(select.from[0].table);
+      return out;
     }
   }
 
-  PreparedInput prepared;
-  prepared.kind = lang::MsqlInput::Kind::kQuery;
-  MSQL_ASSIGN_OR_RETURN(MsqlQuery resolved, ResolveScope(query));
-  translator::Translator translator(&ad_, &gdd_);
+  obs::Tracer& tracer = env_.tracer();
+  lang::Expander expander(&gdd_);
+  MsqlQuery resolved;
+  lang::Decomposition decomposition;
+  for (const MsqlQuery& next : queries) {
+    auto resolved_or = ResolveScope(next, out.scope ? *out.scope : scope);
+    if (!resolved_or.ok()) {
+      out.error = resolved_or.status();
+      return out;
+    }
+    resolved = std::move(*resolved_or);
+    out.scope = resolved.use;
 
-  // Multidatabase join: decompose instead of expanding.
-  if (resolved.body->kind() == StatementKind::kSelect) {
-    const auto& select =
-        static_cast<const relational::SelectStmt&>(*resolved.body);
-    if (lang::Decomposer::IsMultidatabase(select)) {
+    // A lone multidatabase join is decomposed instead of expanded.
+    const relational::Statement& body = *resolved.body;
+    if (mt == nullptr && body.kind() == StatementKind::kSelect &&
+        lang::Decomposer::IsMultidatabase(
+            static_cast<const relational::SelectStmt&>(body))) {
+      out.form = Form::kDecomposedJoin;
       lang::Decomposer decomposer(&gdd_);
       lang::CostContext cost_context;
       if (cost_based_optimizer_) {
@@ -547,192 +479,130 @@ Result<PreparedInput> MultidatabaseSystem::PrepareQuery(
         decomposer.set_cost_based(true);
         decomposer.set_cost_context(&cost_context);
       }
-      obs::ScopedSpan decompose_span(&env_.tracer(), "msql.decompose",
-                                     "frontend", 0);
-      MSQL_ASSIGN_OR_RETURN(auto decomposition,
-                            decomposer.Decompose(select));
+      obs::ScopedSpan decompose_span(&tracer, "msql.decompose", "frontend",
+                                     0);
+      auto decomposed = decomposer.Decompose(
+          static_cast<const relational::SelectStmt&>(body));
       decompose_span.End();
-      prepared.cost_text = decomposition.cost_text;
-      obs::ScopedSpan translate_span(&env_.tracer(), "msql.translate",
-                                     "frontend", 0);
-      MSQL_ASSIGN_OR_RETURN(
-          prepared.plan, translator.TranslateDecomposedJoin(decomposition));
-      translate_span.End();
-      return prepared;
+      if (!decomposed.ok()) {
+        out.error = decomposed.status();
+        return out;
+      }
+      out.cost_text = decomposed->cost_text;
+      decomposition = std::move(*decomposed);
+      break;
     }
-  }
-
-  // Cross-database data transfer: INSERT INTO db1.t SELECT ... FROM db2.s.
-  if (resolved.body->kind() == StatementKind::kInsert) {
-    const auto& insert =
-        static_cast<const relational::InsertStmt&>(*resolved.body);
-    bool qualified_select = false;
-    if (insert.select_source != nullptr) {
-      for (const auto& ref : insert.select_source->from) {
-        if (!ref.database.empty()) qualified_select = true;
+    // So is a cross-database data transfer:
+    // INSERT INTO db1.t SELECT ... FROM db2.s.
+    if (mt == nullptr && body.kind() == StatementKind::kInsert) {
+      const auto& insert = static_cast<const relational::InsertStmt&>(body);
+      bool qualified_select = false;
+      if (insert.select_source != nullptr) {
+        for (const auto& ref : insert.select_source->from) {
+          if (!ref.database.empty()) qualified_select = true;
+        }
+      }
+      if (qualified_select && !insert.table.database.empty()) {
+        out.form = Form::kDataTransfer;
+        break;
       }
     }
-    if (qualified_select && !insert.table.database.empty()) {
-      obs::ScopedSpan translate_span(&env_.tracer(), "msql.translate",
-                                     "frontend", 0);
-      MSQL_ASSIGN_OR_RETURN(prepared.plan,
-                            translator.TranslateDataTransfer(insert));
-      translate_span.End();
-      prepared.data_transfer = true;
-      return prepared;
-    }
-  }
 
-  // Static semantic check (DESIGN.md §8) before expansion burns any
-  // simulated-network round trips. An unenforceable vital set (MS111)
-  // is a refusal — the run-time translator path reports it the same
-  // way — while any other error is a hard failure.
-  obs::ScopedSpan check_span(&env_.tracer(), "msql.check", "frontend", 0);
-  analysis::DiagnosticList diags = analysis::CheckQuery(resolved, gdd_, ad_);
-  check_span.End();
-  if (diags.has_errors()) {
-    if (diags.Find(analysis::diag::kVitalSetUnenforceable) != nullptr) {
-      ExecutionReport report;
-      report.outcome = GlobalOutcome::kRefused;
-      report.detail = Status::Refused(diags.RenderAll());
-      prepared.immediate = std::move(report);
-      return prepared;
-    }
-    return diags.ToStatus();
-  }
-
-  lang::Expander expander(&gdd_);
-  obs::ScopedSpan expand_span(&env_.tracer(), "msql.expand", "frontend", 0);
-  MSQL_ASSIGN_OR_RETURN(ExpansionResult expansion,
-                        expander.Expand(resolved));
-  expand_span.End();
-
-  // A VITAL database with no pertinent subquery makes the requested
-  // consistency unobtainable: refuse, like any unenforceable vital set.
-  for (const auto& entry : resolved.use.entries) {
-    if (!entry.vital) continue;
-    for (const auto& skipped : expansion.non_pertinent) {
-      if (EqualsIgnoreCase(skipped, entry.EffectiveName())) {
-        ExecutionReport report;
-        report.outcome = GlobalOutcome::kRefused;
-        report.detail = Status::Refused(
-            "VITAL database '" + entry.EffectiveName() +
-            "' has no pertinent subquery in this multiple query");
-        report.non_pertinent = expansion.non_pertinent;
-        prepared.immediate = std::move(report);
-        return prepared;
-      }
-    }
-  }
-
-  obs::ScopedSpan translate_span(&env_.tracer(), "msql.translate",
-                                 "frontend", 0);
-  auto plan = translator.TranslateQuery(expansion);
-  translate_span.End();
-  if (!plan.ok()) {
-    if (plan.status().code() == StatusCode::kRefused) {
-      ExecutionReport report;
-      report.outcome = GlobalOutcome::kRefused;
-      report.detail = plan.status();
-      report.non_pertinent = expansion.non_pertinent;
-      prepared.immediate = std::move(report);
-      return prepared;
-    }
-    return plan.status();
-  }
-  prepared.plan = std::move(*plan);
-  prepared.non_pertinent = expansion.non_pertinent;
-  prepared.warnings = diags.items();  // surviving findings are warnings
-  prepared.fire_triggers = true;
-  prepared.expansion = std::move(expansion);
-  return prepared;
-}
-
-Result<ExecutionReport> MultidatabaseSystem::ExecuteMultiTransaction(
-    const lang::MultiTransaction& mt) {
-  obs::Tracer& tracer = env_.tracer();
-  const bool top_level = tracer.enabled() && tracer.current_parent() == 0;
-  SnapshotProfileCounters(top_level);
-  obs::ScopedSpan mt_span(&tracer, "msql.multitransaction", "frontend", 0);
-  auto report = ExecuteMultiTransactionImpl(mt);
-  if (report.ok()) FinishInputSpan(&mt_span, top_level, &*report);
-  return report;
-}
-
-Result<ExecutionReport> MultidatabaseSystem::ExecuteMultiTransactionImpl(
-    const lang::MultiTransaction& mt) {
-  MSQL_ASSIGN_OR_RETURN(PreparedInput prepared, PrepareMultiTransaction(mt));
-  if (prepared.immediate.has_value()) return *std::move(prepared.immediate);
-  MSQL_RETURN_IF_ERROR(VerifyPreparedPlan(prepared.plan));
-  dol::DolEngine engine(&env_, retry_policy_);
-  auto run = engine.Run(prepared.plan.program);
-  return FinishPreparedRun(std::move(prepared), std::move(run));
-}
-
-Result<PreparedInput> MultidatabaseSystem::PrepareMultiTransaction(
-    const lang::MultiTransaction& mt) {
-  PreparedInput prepared;
-  prepared.kind = lang::MsqlInput::Kind::kMultiTransaction;
-  translator::Translator translator(&ad_, &gdd_);
-  lang::Expander expander(&gdd_);
-  std::vector<ExpansionResult> expansions;
-  std::vector<analysis::Diagnostic> warnings;
-  for (const auto& query : mt.queries) {
-    MSQL_ASSIGN_OR_RETURN(MsqlQuery resolved, ResolveScope(query));
-    obs::ScopedSpan check_span(&env_.tracer(), "msql.check", "frontend", 0);
+    // Static semantic check (DESIGN.md §8) before expansion. An
+    // unenforceable vital set (MS111) is a refusal — the translator
+    // refuses the same way — while any other error is a hard failure.
+    obs::ScopedSpan check_span(&tracer, "msql.check", "frontend", 0);
     analysis::DiagnosticList diags =
         analysis::CheckQuery(resolved, gdd_, ad_);
     check_span.End();
     if (diags.has_errors()) {
       if (diags.Find(analysis::diag::kVitalSetUnenforceable) != nullptr) {
-        ExecutionReport report;
-        report.outcome = GlobalOutcome::kRefused;
-        report.detail = Status::Refused(diags.RenderAll());
-        prepared.immediate = std::move(report);
-        return prepared;
+        out.refusal = Status::Refused(diags.RenderAll());
+      } else {
+        out.error = diags.ToStatus();
       }
-      return diags.ToStatus();
     }
-    for (const auto& d : diags.items()) warnings.push_back(d);
-    obs::ScopedSpan expand_span(&env_.tracer(), "msql.expand", "frontend", 0);
-    MSQL_ASSIGN_OR_RETURN(ExpansionResult expansion,
-                          expander.Expand(resolved));
+    if (out.diagnostics.empty()) {
+      out.diagnostics = std::move(diags);
+    } else {
+      out.diagnostics.Append(diags);
+    }
+    if (!out.error.ok() || !out.refusal.ok()) return out;
+
+    obs::ScopedSpan expand_span(&tracer, "msql.expand", "frontend", 0);
+    auto expansion = expander.Expand(resolved);
     expand_span.End();
-    expansions.push_back(std::move(expansion));
+    if (!expansion.ok()) {
+      out.error = expansion.status();
+      return out;
+    }
+    if (mt == nullptr) {
+      // A VITAL database with no pertinent subquery makes the requested
+      // consistency unobtainable: refuse, like any unenforceable vital
+      // set.
+      out.non_pertinent = expansion->non_pertinent;
+      for (const auto& entry : resolved.use.entries) {
+        if (!entry.vital) continue;
+        for (const auto& skipped : expansion->non_pertinent) {
+          if (EqualsIgnoreCase(skipped, entry.EffectiveName())) {
+            out.refusal = Status::Refused(
+                "VITAL database '" + entry.EffectiveName() +
+                "' has no pertinent subquery in this multiple query");
+            return out;
+          }
+        }
+      }
+    }
+    out.expansions.push_back(std::move(*expansion));
   }
-  obs::ScopedSpan translate_span(&env_.tracer(), "msql.translate",
-                                 "frontend", 0);
-  auto plan =
-      translator.TranslateMultiTransaction(expansions, mt.acceptable_states);
+
+  translator::Translator translator(&ad_, &gdd_);
+  obs::ScopedSpan translate_span(&tracer, "msql.translate", "frontend", 0);
+  auto plan = [&]() -> Result<translator::Plan> {
+    switch (out.form) {
+      case Form::kDecomposedJoin:
+        return translator.TranslateDecomposedJoin(decomposition);
+      case Form::kDataTransfer:
+        return translator.TranslateDataTransfer(
+            static_cast<const relational::InsertStmt&>(*resolved.body));
+      default:
+        if (mt != nullptr) {
+          return translator.TranslateMultiTransaction(out.expansions,
+                                                      mt->acceptable_states);
+        }
+        return translator.TranslateQuery(out.expansions.front());
+    }
+  }();
   translate_span.End();
   if (!plan.ok()) {
-    if (plan.status().code() == StatusCode::kRefused) {
-      ExecutionReport report;
-      report.outcome = GlobalOutcome::kRefused;
-      report.detail = plan.status();
-      prepared.immediate = std::move(report);
-      return prepared;
+    // Only an expanded input can be refused: it is well-formed, but the
+    // requested consistency cannot be guaranteed.
+    if (out.form == Form::kExpanded &&
+        plan.status().code() == StatusCode::kRefused) {
+      out.refusal = plan.status();
+    } else {
+      out.error = plan.status();
     }
-    return plan.status();
+    return out;
   }
-  std::vector<std::string> non_pertinent;
-  for (const auto& expansion : expansions) {
-    non_pertinent.insert(non_pertinent.end(),
-                         expansion.non_pertinent.begin(),
-                         expansion.non_pertinent.end());
+  out.plan = std::move(*plan);
+  if (mt != nullptr) {
+    for (const auto& expansion : out.expansions) {
+      out.non_pertinent.insert(out.non_pertinent.end(),
+                               expansion.non_pertinent.begin(),
+                               expansion.non_pertinent.end());
+    }
   }
-  prepared.plan = std::move(*plan);
-  prepared.non_pertinent = std::move(non_pertinent);
-  prepared.warnings = std::move(warnings);
-  prepared.mt_expansions = std::move(expansions);
-  return prepared;
+  return out;
 }
 
-Status MultidatabaseSystem::VerifyPreparedPlan(
+Status MultidatabaseSystem::CommitScope(CompiledInput* compiled) {
+  if (compiled->scope.has_value()) current_scope_ = *std::move(compiled->scope);
+  return compiled->error;
+}
+
+Status MultidatabaseSystem::VerifyCompiledPlan(
     const translator::Plan& plan) {
-  // Translator-bug oracle: every generated plan must pass the DOL
-  // verifier before it is allowed near the federation. A rejection here
-  // is a defect in the translator, not in the user's program.
   obs::ScopedSpan verify_span(&env_.tracer(), "msql.verify", "frontend", 0);
   analysis::DiagnosticList verdict = analysis::VerifyPlan(plan);
   if (verdict.has_errors()) {
@@ -742,6 +612,14 @@ Status MultidatabaseSystem::VerifyPreparedPlan(
         verdict.RenderAll() + "\n--- plan ---\n" + plan.program.ToDol());
   }
   return Status::OK();
+}
+
+ExecutionReport MultidatabaseSystem::RefusalReport(CompiledInput compiled) {
+  ExecutionReport report;
+  report.outcome = GlobalOutcome::kRefused;
+  report.detail = std::move(compiled.refusal);
+  report.non_pertinent = std::move(compiled.non_pertinent);
+  return report;
 }
 
 ExecutionReport MultidatabaseSystem::AssembleRunReport(
@@ -849,12 +727,12 @@ ExecutionReport MultidatabaseSystem::AssembleRunReport(
   return report;
 }
 
-Result<ExecutionReport> MultidatabaseSystem::FinishPreparedRun(
-    PreparedInput prepared, Result<dol::DolRunResult> run) {
+Result<ExecutionReport> MultidatabaseSystem::FinishRun(
+    CompiledInput compiled, Result<dol::DolRunResult> run) {
   const bool ran = run.ok();
   ExecutionReport report = AssembleRunReport(
-      prepared.plan, std::move(prepared.non_pertinent), std::move(run));
-  if (prepared.data_transfer) {
+      compiled.plan, std::move(compiled.non_pertinent), std::move(run));
+  if (compiled.form == CompiledInput::Form::kDataTransfer) {
     const dol::TaskOutcome* extract = report.run.FindTask("t_extract");
     if (extract != nullptr) {
       report.rows_transferred =
@@ -862,28 +740,25 @@ Result<ExecutionReport> MultidatabaseSystem::FinishPreparedRun(
     }
     report.multitable.elements.clear();  // not a retrieval answer
   }
-  report.diagnostics = std::move(prepared.warnings);
-  report.cost_text = std::move(prepared.cost_text);
-  if (ran && prepared.expansion.has_value()) {
-    MSQL_RETURN_IF_ERROR(
-        SyncGddAfterDdl(prepared.plan, report.run, *prepared.expansion));
-    RecordDmlChurn(*prepared.expansion, report.run);
+  // Surviving checker findings are warnings.
+  report.diagnostics = compiled.diagnostics.items();
+  report.cost_text = std::move(compiled.cost_text);
+  if (ran) {
+    for (const auto& expansion : compiled.expansions) {
+      MSQL_RETURN_IF_ERROR(SyncGddAfterDdl(report.run, expansion));
+      RecordDmlChurn(expansion, report.run);
+    }
   }
-  for (const auto& expansion : prepared.mt_expansions) {
-    MSQL_RETURN_IF_ERROR(SyncGddAfterDdl(translator::Plan{}, report.run,
-                                         expansion));
-    if (ran) RecordDmlChurn(expansion, report.run);
-  }
-  if (prepared.fire_triggers && prepared.expansion.has_value()) {
-    MSQL_RETURN_IF_ERROR(FireTriggers(*prepared.expansion, &report));
+  // Interdatabase triggers fire on plain queries only.
+  if (compiled.kind == lang::MsqlInput::Kind::kQuery &&
+      !compiled.expansions.empty()) {
+    MSQL_RETURN_IF_ERROR(FireTriggers(compiled.expansions.front(), &report));
   }
   return report;
 }
 
 Status MultidatabaseSystem::SyncGddAfterDdl(
-    const translator::Plan& plan, const dol::DolRunResult& run,
-    const ExpansionResult& expansion) {
-  (void)plan;
+    const dol::DolRunResult& run, const ExpansionResult& expansion) {
   for (const auto& eq : expansion.queries) {
     StatementKind kind = eq.statement->kind();
     if (kind != StatementKind::kCreateTable &&
@@ -1094,7 +969,7 @@ Status MultidatabaseSystem::FireTriggers(
           "'");
     }
     ++trigger_depth_;
-    auto action_report = ExecuteQuery(*fire.action);
+    auto action_report = ExecuteCompiled(fire.action.get(), nullptr);
     --trigger_depth_;
     MSQL_RETURN_IF_ERROR(action_report.status());
     report->fired_triggers.push_back(fire.name);
@@ -1120,7 +995,7 @@ Result<ExecutionReport> MultidatabaseSystem::ExecuteViewQuery(
     return Status::NotFound("view '" + view_name + "' vanished");
   }
   ++view_depth_;
-  auto base = ExecuteQuery(*view_it->second);
+  auto base = ExecuteCompiled(view_it->second.get(), nullptr);
   --view_depth_;
   MSQL_RETURN_IF_ERROR(base.status());
   if (base->outcome != GlobalOutcome::kSuccess) {
@@ -1211,8 +1086,7 @@ Result<std::vector<AnalysisReport>> MultidatabaseSystem::AnalyzeScript(
     obs::ScopedSpan analyze_span(&env_.tracer(), "msql.analyze", "frontend",
                                  0);
     analyze_span.Annotate("kind", InputKindName(input.kind));
-    MSQL_ASSIGN_OR_RETURN(auto report, AnalyzeInput(input));
-    reports.push_back(std::move(report));
+    reports.push_back(AnalyzeInput(input));
   }
   // Cross-input pass: inputs of one script are what a deployment runs as
   // concurrent sessions, so check every translated pair for lock-order
@@ -1228,265 +1102,52 @@ Result<std::vector<AnalysisReport>> MultidatabaseSystem::AnalyzeScript(
   return reports;
 }
 
-Result<AnalysisReport> MultidatabaseSystem::AnalyzeInput(
+AnalysisReport MultidatabaseSystem::AnalyzeInput(
     const lang::MsqlInput& input) {
-  switch (input.kind) {
-    case lang::MsqlInput::Kind::kQuery:
-      return AnalyzeQuery(*input.query);
-    case lang::MsqlInput::Kind::kMultiTransaction:
-      return AnalyzeMultiTransaction(*input.multitransaction);
-    default: {
-      // Catalog-shaping inputs are executed so later inputs of the same
-      // script are checked against the catalogs they would see. They
-      // produce no plan, hence nothing further to verify.
-      AnalysisReport report;
-      switch (input.kind) {
-        case lang::MsqlInput::Kind::kIncorporate:
-          report.kind = "incorporate";
-          report.error = ExecuteIncorporate(*input.incorporate);
-          break;
-        case lang::MsqlInput::Kind::kImport: {
-          report.kind = "import";
-          auto imported = ExecuteImport(*input.import);
-          if (!imported.ok()) report.error = imported.status();
-          break;
-        }
-        case lang::MsqlInput::Kind::kAnalyze: {
-          report.kind = "analyze";
-          auto analyzed = ExecuteAnalyze(*input.analyze);
-          if (!analyzed.ok()) report.error = analyzed.status();
-          break;
-        }
-        case lang::MsqlInput::Kind::kCreateMultidatabase:
-          report.kind = "create multidatabase";
-          report.error =
-              ExecuteCreateMultidatabase(*input.create_multidatabase);
-          break;
-        case lang::MsqlInput::Kind::kDropMultidatabase:
-          report.kind = "drop multidatabase";
-          report.error = ExecuteDropMultidatabase(*input.drop_multidatabase);
-          break;
-        case lang::MsqlInput::Kind::kCreateView:
-          report.kind = "create view";
-          report.error = ExecuteCreateView(*input.create_view);
-          break;
-        case lang::MsqlInput::Kind::kDropView:
-          report.kind = "drop view";
-          report.error = ExecuteDropView(*input.drop_view);
-          break;
-        case lang::MsqlInput::Kind::kCreateTrigger:
-          report.kind = "create trigger";
-          report.error = ExecuteCreateTrigger(*input.create_trigger);
-          break;
-        case lang::MsqlInput::Kind::kDropTrigger:
-          report.kind = "drop trigger";
-          report.error = ExecuteDropTrigger(*input.drop_trigger);
-          break;
-        default:
-          report.kind = "input";
-          break;
-      }
-      return report;
-    }
-  }
-}
-
-Result<AnalysisReport> MultidatabaseSystem::AnalyzeQuery(
-    const MsqlQuery& query) {
+  using Form = CompiledInput::Form;
   AnalysisReport report;
-  report.kind = "query";
-
-  // Views carry their own USE; analyzing the outer query against the
-  // view name would mis-report the view as an unknown table.
-  if (query.body->kind() == StatementKind::kSelect) {
-    const auto& select =
-        static_cast<const relational::SelectStmt&>(*query.body);
-    if (select.from.size() == 1 && select.from[0].database.empty() &&
-        views_.count(ToLower(select.from[0].table)) > 0) {
-      report.kind = "view query";
-      return report;
-    }
-  }
-
-  // Analysis must not move the session scope: restore it afterwards.
-  UseClause saved = current_scope_;
-  auto resolved_or = ResolveScope(query);
-  current_scope_ = std::move(saved);
-  if (!resolved_or.ok()) {
-    report.error = resolved_or.status();
+  report.kind = InputKindName(input.kind);
+  if (!input.query.has_value() && !input.multitransaction.has_value()) {
+    // Catalog-shaping inputs are executed so later inputs of the same
+    // script are checked against the catalogs they would see. They
+    // produce no plan, hence nothing further to verify.
+    report.error = ExecuteCatalog(input);
     return report;
   }
-  MsqlQuery resolved = std::move(*resolved_or);
-  translator::Translator translator(&ad_, &gdd_);
 
-  // The dispatch mirrors ExecuteQuery: joins and data transfers skip
-  // the expansion-path checker (their identifiers are db-qualified).
-  if (resolved.body->kind() == StatementKind::kSelect) {
-    const auto& select =
-        static_cast<const relational::SelectStmt&>(*resolved.body);
-    if (lang::Decomposer::IsMultidatabase(select)) {
-      report.kind = "decomposed join";
-      lang::Decomposer decomposer(&gdd_);
-      lang::CostContext cost_context;
-      if (cost_based_optimizer_) {
-        cost_context = BuildCostContext();
-        decomposer.set_cost_based(true);
-        decomposer.set_cost_context(&cost_context);
-      }
-      auto decomposition = decomposer.Decompose(select);
-      if (!decomposition.ok()) {
-        report.error = decomposition.status();
-        return report;
-      }
-      report.cost_text = (*decomposition).cost_text;
-      auto plan = translator.TranslateDecomposedJoin(*decomposition);
-      if (!plan.ok()) {
-        report.error = plan.status();
-        return report;
-      }
-      report.translated = true;
-      report.dol_text = plan->program.ToDol();
-      report.diagnostics.Append(analysis::VerifyPlan(*plan));
-      report.summary = analysis::SummarizePlan(*plan);
-      report.diagnostics.Append(
-          analysis::AnalyzeConflicts(*plan, *report.summary));
-      return report;
-    }
-  }
-  if (resolved.body->kind() == StatementKind::kInsert) {
-    const auto& insert =
-        static_cast<const relational::InsertStmt&>(*resolved.body);
-    bool qualified_select = false;
-    if (insert.select_source != nullptr) {
-      for (const auto& ref : insert.select_source->from) {
-        if (!ref.database.empty()) qualified_select = true;
-      }
-    }
-    if (qualified_select && !insert.table.database.empty()) {
-      report.kind = "data transfer";
-      auto plan = translator.TranslateDataTransfer(insert);
-      if (!plan.ok()) {
-        report.error = plan.status();
-        return report;
-      }
-      report.translated = true;
-      report.dol_text = plan->program.ToDol();
-      report.diagnostics.Append(analysis::VerifyPlan(*plan));
-      report.summary = analysis::SummarizePlan(*plan);
-      report.diagnostics.Append(
-          analysis::AnalyzeConflicts(*plan, *report.summary));
-      return report;
-    }
-  }
-
-  obs::ScopedSpan check_span(&env_.tracer(), "msql.check", "frontend", 0);
-  report.diagnostics = analysis::CheckQuery(resolved, gdd_, ad_);
-  check_span.End();
-  if (report.diagnostics.Find(analysis::diag::kVitalSetUnenforceable) !=
-      nullptr) {
-    report.refused = true;
-    report.refusal =
-        Status::Refused(report.diagnostics.RenderAll());
-    return report;
-  }
-  if (report.diagnostics.has_errors()) return report;
-
-  lang::Expander expander(&gdd_);
-  obs::ScopedSpan expand_span(&env_.tracer(), "msql.expand", "frontend", 0);
-  auto expansion = expander.Expand(resolved);
-  expand_span.End();
-  if (!expansion.ok()) {
-    report.error = expansion.status();
-    return report;
-  }
-  for (const auto& entry : resolved.use.entries) {
-    if (!entry.vital) continue;
-    for (const auto& skipped : expansion->non_pertinent) {
-      if (EqualsIgnoreCase(skipped, entry.EffectiveName())) {
-        report.refused = true;
-        report.refusal = Status::Refused(
-            "VITAL database '" + entry.EffectiveName() +
-            "' has no pertinent subquery in this multiple query");
-        return report;
-      }
-    }
-  }
-  obs::ScopedSpan translate_span(&env_.tracer(), "msql.translate",
-                                 "frontend", 0);
-  auto plan = translator.TranslateQuery(*expansion);
-  translate_span.End();
-  if (!plan.ok()) {
-    if (plan.status().code() == StatusCode::kRefused) {
+  // Analysis must not move the session scope: the compiled one is
+  // dropped.
+  CompiledInput compiled = Compile(input, current_scope_);
+  if (compiled.form == Form::kViewQuery) report.kind = "view query";
+  if (compiled.form == Form::kDecomposedJoin) report.kind = "decomposed join";
+  if (compiled.form == Form::kDataTransfer) report.kind = "data transfer";
+  report.cost_text = std::move(compiled.cost_text);
+  report.diagnostics = std::move(compiled.diagnostics);
+  if (report.diagnostics.has_errors()) {
+    // Checker errors are findings, not failures. Unlike Execute's, the
+    // refusal quotes the findings of every query compiled so far.
+    if (report.diagnostics.Find(analysis::diag::kVitalSetUnenforceable) !=
+        nullptr) {
       report.refused = true;
-      report.refusal = plan.status();
-    } else {
-      report.error = plan.status();
+      report.refusal = Status::Refused(report.diagnostics.RenderAll());
     }
     return report;
   }
+  if (!compiled.refusal.ok()) {
+    report.refused = true;
+    report.refusal = std::move(compiled.refusal);
+    return report;
+  }
+  report.error = std::move(compiled.error);
+  if (!report.error.ok() || compiled.form == Form::kViewQuery) return report;
+
   report.translated = true;
-  report.dol_text = plan->program.ToDol();
+  report.dol_text = compiled.plan.program.ToDol();
   obs::ScopedSpan verify_span(&env_.tracer(), "msql.verify", "frontend", 0);
-  report.diagnostics.Append(analysis::VerifyPlan(*plan));
-  report.summary = analysis::SummarizePlan(*plan);
+  report.diagnostics.Append(analysis::VerifyPlan(compiled.plan));
+  report.summary = analysis::SummarizePlan(compiled.plan);
   report.diagnostics.Append(
-      analysis::AnalyzeConflicts(*plan, *report.summary));
-  verify_span.End();
-  return report;
-}
-
-Result<AnalysisReport> MultidatabaseSystem::AnalyzeMultiTransaction(
-    const lang::MultiTransaction& mt) {
-  AnalysisReport report;
-  report.kind = "multitransaction";
-  UseClause saved = current_scope_;
-  lang::Expander expander(&gdd_);
-  std::vector<ExpansionResult> expansions;
-  for (const auto& query : mt.queries) {
-    auto resolved = ResolveScope(query);
-    if (!resolved.ok()) {
-      current_scope_ = saved;
-      report.error = resolved.status();
-      return report;
-    }
-    report.diagnostics.Append(
-        analysis::CheckQuery(*resolved, gdd_, ad_));
-    if (report.diagnostics.has_errors()) break;
-    auto expansion = expander.Expand(*resolved);
-    if (!expansion.ok()) {
-      current_scope_ = saved;
-      report.error = expansion.status();
-      return report;
-    }
-    expansions.push_back(std::move(*expansion));
-  }
-  current_scope_ = saved;
-  if (report.diagnostics.Find(analysis::diag::kVitalSetUnenforceable) !=
-      nullptr) {
-    report.refused = true;
-    report.refusal = Status::Refused(report.diagnostics.RenderAll());
-    return report;
-  }
-  if (report.diagnostics.has_errors()) return report;
-
-  translator::Translator translator(&ad_, &gdd_);
-  auto plan =
-      translator.TranslateMultiTransaction(expansions, mt.acceptable_states);
-  if (!plan.ok()) {
-    if (plan.status().code() == StatusCode::kRefused) {
-      report.refused = true;
-      report.refusal = plan.status();
-    } else {
-      report.error = plan.status();
-    }
-    return report;
-  }
-  report.translated = true;
-  report.dol_text = plan->program.ToDol();
-  report.diagnostics.Append(analysis::VerifyPlan(*plan));
-  report.summary = analysis::SummarizePlan(*plan);
-  report.diagnostics.Append(
-      analysis::AnalyzeConflicts(*plan, *report.summary));
+      analysis::AnalyzeConflicts(compiled.plan, *report.summary));
   return report;
 }
 

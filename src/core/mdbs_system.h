@@ -135,34 +135,41 @@ struct AnalysisReport {
   std::string cost_text;
 };
 
-/// A frontend-compiled MSQL input: the translated DOL plan plus
-/// everything needed to assemble its ExecutionReport once a driver has
-/// run the plan. Produced by Prepare/PrepareInput, consumed by
-/// FinishPreparedRun. The serial entry points use this split
-/// internally; the concurrent federation server uses it to prepare each
-/// session's input at admission, step the plan through
-/// DolEngine::BeginRun/Deliver interleaved with other sessions, and
-/// assemble the report when the program completes.
-struct PreparedInput {
+/// The front end's verdict on one query or multitransaction (§4,
+/// Figure 1: scope, check, expand or decompose, translate), decided once
+/// by MultidatabaseSystem::Compile for every caller: Execute runs the
+/// plan, Analyze renders it, the federation server steps it.
+struct CompiledInput {
+  /// How the input compiles.
+  enum class Form {
+    kViewQuery,       // answered from a stored view definition: no plan
+    kDecomposedJoin,  // multidatabase join, decomposed (§4.2)
+    kDataTransfer,    // INSERT INTO db1.t SELECT ... FROM db2.s
+    kExpanded,        // expanded query or multitransaction
+  };
   lang::MsqlInput::Kind kind = lang::MsqlInput::Kind::kQuery;
+  Form form = Form::kExpanded;
+  /// kViewQuery: the (lower-cased) view named in FROM.
+  std::string view_name;
+  /// Session scope after the input's USE clauses; empty when no USE
+  /// resolved. Execute and the server commit it even when the input
+  /// fails later on; Analyze drops it.
+  std::optional<lang::UseClause> scope;
+  /// Hard failure after scope resolution. A checker failure quotes the
+  /// failing query's errors only.
+  Status error;
+  /// kRefused: the requested consistency cannot be guaranteed, so there
+  /// is nothing to run. Quotes the failing query's findings only.
+  Status refusal;
+  /// Checker (MS1xx) findings of every compiled query, in order.
+  analysis::DiagnosticList diagnostics;
   translator::Plan plan;
   /// Scope databases discarded as non-pertinent during disambiguation.
   std::vector<std::string> non_pertinent;
-  /// Non-fatal checker findings to surface on the final report.
-  std::vector<analysis::Diagnostic> warnings;
-  /// Expansion behind a plain query plan (GDD sync + trigger source).
-  std::optional<lang::ExpansionResult> expansion;
-  /// Expansions behind a multitransaction plan (GDD sync).
-  std::vector<lang::ExpansionResult> mt_expansions;
-  /// INSERT..SELECT data transfer: fix up rows_transferred post-run.
-  bool data_transfer = false;
-  /// Fire interdatabase triggers after the run (plain query path only).
-  bool fire_triggers = false;
+  /// Expansions behind an expanded plan (GDD sync, DML churn, triggers).
+  std::vector<lang::ExpansionResult> expansions;
   /// Cost breakdown of a decomposed join, forwarded to the report.
   std::string cost_text;
-  /// Input resolved entirely at prepare time (refusals): nothing to
-  /// run, report this as-is.
-  std::optional<ExecutionReport> immediate;
 };
 
 /// The multidatabase system of Figure 1: MSQL front end, translator,
@@ -249,75 +256,91 @@ class MultidatabaseSystem {
   Result<std::vector<AnalysisReport>> AnalyzeScript(
       std::string_view msql_text);
 
-  Result<ExecutionReport> ExecuteQuery(const lang::MsqlQuery& query);
-  Result<ExecutionReport> ExecuteMultiTransaction(
-      const lang::MultiTransaction& mt);
-
-  // -- Prepared execution (the concurrent server's protocol) ---------------
-
-  /// Parses exactly one MSQL input and runs the whole front end on it
-  /// (scope resolution, checking, expansion, translation), yielding a
-  /// plan an external driver can run later. Only queries and
-  /// multitransactions are preparable — catalog-shaping inputs and view
-  /// queries execute serially (kUnimplemented).
-  Result<PreparedInput> Prepare(std::string_view msql_text);
-  /// Same, for an already-parsed input.
-  Result<PreparedInput> PrepareInput(const lang::MsqlInput& input);
-
-  /// Translator-bug oracle: every prepared plan must pass the DOL
-  /// verifier before it is allowed near the federation. A rejection
-  /// here is a defect in the translator, not in the user's program.
-  Status VerifyPreparedPlan(const translator::Plan& plan);
-
-  /// Assembles the ExecutionReport of a prepared input whose plan a
-  /// driver has run (`run` being DolEngine::Run/TakeResult output),
-  /// including post-run GDD maintenance and trigger firing.
-  Result<ExecutionReport> FinishPreparedRun(PreparedInput prepared,
-                                            Result<dol::DolRunResult> run);
-
-  /// Appends one query-log record for an executed input (no-op while
-  /// the log is disabled). Only top-level inputs are logged — nested
-  /// view/trigger executions are part of their outer input's record.
-  void LogInput(lang::MsqlInput::Kind kind, const ExecutionReport& report);
-  Status ExecuteIncorporate(const lang::IncorporateStmt& stmt);
-  Result<std::vector<std::string>> ExecuteImport(const lang::ImportStmt& stmt);
-  Result<std::vector<std::string>> ExecuteAnalyze(const lang::AnalyzeStmt& stmt);
-
   /// Snapshots the cost-based optimizer's inputs: fresh GDD statistics,
   /// per-link transfer parameters from the netsim topology and observed
   /// mean latencies from the health registry (DESIGN.md §14).
   lang::CostContext BuildCostContext() const;
 
-  // -- Multidatabases, views, triggers (§2 extensions) ---------------------
-
-  Status ExecuteCreateMultidatabase(const lang::CreateMultidatabaseStmt& s);
-  Status ExecuteDropMultidatabase(const lang::DropMultidatabaseStmt& s);
-
-  /// Registers a multidatabase view (stored multiple query).
-  Status ExecuteCreateView(const lang::CreateViewStmt& s);
-  Status ExecuteDropView(const lang::DropViewStmt& s);
   bool HasView(std::string_view name) const;
-
-  /// Registers an interdatabase trigger.
-  Status ExecuteCreateTrigger(const lang::CreateTriggerStmt& s);
-  Status ExecuteDropTrigger(const lang::DropTriggerStmt& s);
   std::vector<std::string> TriggerNames() const;
 
   /// The session's current scope (set by the last USE).
   const lang::UseClause& current_scope() const { return current_scope_; }
 
  private:
-  /// Applies USE CURRENT inheritance and records the new current scope.
-  Result<lang::MsqlQuery> ResolveScope(const lang::MsqlQuery& query);
+  /// Compiles, verifies and steps inputs on behalf of its sessions.
+  friend class FederationServer;
 
-  /// Dispatches one parsed input (body of Execute, minus the tracing).
-  Result<ExecutionReport> ExecuteInput(const lang::MsqlInput& input);
+  /// Applies USE CURRENT inheritance from `scope` and expands
+  /// multidatabase names.
+  Result<lang::MsqlQuery> ResolveScope(const lang::MsqlQuery& query,
+                                       const lang::UseClause& scope) const;
 
-  /// Untraced bodies of ExecuteQuery/ExecuteMultiTransaction; the public
-  /// entry points wrap them in the input-level "frontend" span.
-  Result<ExecutionReport> ExecuteQueryImpl(const lang::MsqlQuery& query);
-  Result<ExecutionReport> ExecuteMultiTransactionImpl(
-      const lang::MultiTransaction& mt);
+  /// The front end: the one place an input is classified as a view
+  /// query, decomposed join, data transfer or expanded query /
+  /// multitransaction, and compiled down to its DOL plan. USE CURRENT
+  /// inherits from `scope`; the session scope itself is not touched.
+  /// Exactly one of `query` / `mt` is set.
+  CompiledInput Compile(const lang::MsqlQuery* query,
+                        const lang::MultiTransaction* mt,
+                        const lang::UseClause& scope);
+  /// Same, for a parsed query or multitransaction input.
+  CompiledInput Compile(const lang::MsqlInput& input,
+                        const lang::UseClause& scope);
+
+  /// Commits the compiled input's scope as the session scope and
+  /// returns its hard error (USE sticks even when the input fails).
+  Status CommitScope(CompiledInput* compiled);
+
+  /// Translator-bug oracle: every compiled plan must pass the DOL
+  /// verifier before it is allowed near the federation. A rejection
+  /// here is a defect in the translator, not in the user's program.
+  Status VerifyCompiledPlan(const translator::Plan& plan);
+
+  /// The kRefused report of an input Compile refused.
+  static ExecutionReport RefusalReport(CompiledInput compiled);
+
+  /// Assembles the ExecutionReport of a compiled input whose plan a
+  /// driver has run (`run` being DolEngine::Run/TakeResult output),
+  /// including post-run GDD maintenance and trigger firing.
+  Result<ExecutionReport> FinishRun(CompiledInput compiled,
+                                    Result<dol::DolRunResult> run);
+
+  /// Execute's per-input body, under the input's open "msql.execute"
+  /// span: runs `input`, closes the span and logs the input.
+  Result<ExecutionReport> ExecuteInput(const lang::MsqlInput& input,
+                                       bool top_level,
+                                       obs::ScopedSpan* span);
+
+  /// Compiles and runs one query or multitransaction (exactly one of
+  /// `query` / `mt` set) under its input-level "msql.query" /
+  /// "msql.multitransaction" span.
+  Result<ExecutionReport> ExecuteCompiled(const lang::MsqlQuery* query,
+                                          const lang::MultiTransaction* mt);
+
+  /// Commits the scope, verifies and runs a compiled plan.
+  Result<ExecutionReport> RunCompiled(CompiledInput compiled);
+
+  /// The one dispatcher of catalog-shaping inputs (INCORPORATE, IMPORT,
+  /// ANALYZE, CREATE/DROP MULTIDATABASE/VIEW/TRIGGER).
+  Status ExecuteCatalog(const lang::MsqlInput& input);
+  Status ExecuteIncorporate(const lang::IncorporateStmt& stmt);
+  Result<std::vector<std::string>> ExecuteImport(const lang::ImportStmt& stmt);
+  Result<std::vector<std::string>> ExecuteAnalyze(
+      const lang::AnalyzeStmt& stmt);
+  Status ExecuteCreateMultidatabase(const lang::CreateMultidatabaseStmt& s);
+  Status ExecuteDropMultidatabase(const lang::DropMultidatabaseStmt& s);
+  /// Registers a multidatabase view (stored multiple query).
+  Status ExecuteCreateView(const lang::CreateViewStmt& s);
+  Status ExecuteDropView(const lang::DropViewStmt& s);
+  /// Registers an interdatabase trigger.
+  Status ExecuteCreateTrigger(const lang::CreateTriggerStmt& s);
+  Status ExecuteDropTrigger(const lang::DropTriggerStmt& s);
+
+  /// Appends one query-log record for an executed input (no-op while
+  /// the log is disabled). Only top-level inputs are logged — nested
+  /// view/trigger executions are part of their outer input's record.
+  void LogInput(lang::MsqlInput::Kind kind, const ExecutionReport& report);
 
   /// Closes the input-level span at the run's simulated makespan; at the
   /// outermost input it renders the input's trace (and, when profile
@@ -331,31 +354,22 @@ class MultidatabaseSystem {
   /// the profiler can attribute counter growth to the input.
   void SnapshotProfileCounters(bool top_level);
 
-  /// Analyzes one parsed input (helper of Analyze/AnalyzeScript).
-  Result<AnalysisReport> AnalyzeInput(const lang::MsqlInput& input);
-  Result<AnalysisReport> AnalyzeQuery(const lang::MsqlQuery& query);
-  Result<AnalysisReport> AnalyzeMultiTransaction(
-      const lang::MultiTransaction& mt);
-
-  /// Front halves of the two preparable input kinds: everything up to
-  /// (and including) translation.
-  Result<PreparedInput> PrepareQuery(const lang::MsqlQuery& query);
-  Result<PreparedInput> PrepareMultiTransaction(
-      const lang::MultiTransaction& mt);
+  /// Analyzes one parsed input (helper of Analyze/AnalyzeScript):
+  /// catalog inputs are executed, queries and multitransactions
+  /// compiled and their plans verified.
+  AnalysisReport AnalyzeInput(const lang::MsqlInput& input);
 
   /// Turns a finished (or failed) DOL run of `plan` into the raw
   /// ExecutionReport: outcome/dol_status mapping, per-database verdicts,
   /// degradation notes and retrieval assembly. Pure function of its
-  /// arguments — FinishPreparedRun layers the catalog side effects on
-  /// top.
+  /// arguments — FinishRun layers the catalog side effects on top.
   ExecutionReport AssembleRunReport(const translator::Plan& plan,
                                     std::vector<std::string> non_pertinent,
                                     Result<dol::DolRunResult> run);
 
   /// Applies committed DDL tasks to the GDD so it keeps mirroring the
   /// local conceptual schemas.
-  Status SyncGddAfterDdl(const translator::Plan& plan,
-                         const dol::DolRunResult& run,
+  Status SyncGddAfterDdl(const dol::DolRunResult& run,
                          const lang::ExpansionResult& expansion);
 
   /// Accumulates committed DML rows-affected into the GDD's per-table

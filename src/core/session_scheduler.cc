@@ -4,6 +4,8 @@
 #include <functional>
 #include <set>
 
+#include "msql/parser.h"
+
 namespace msql::core {
 
 FederationServer::FederationServer(MultidatabaseSystem* system,
@@ -208,20 +210,35 @@ void FederationServer::Consider(Session& s) {
   s.root_span = tracer.StartSpan("session:" + std::to_string(s.id),
                                  "server", clock_);
   if (s.root_span != 0) tracer.PushParent(s.root_span);
-  auto prepared = system_->Prepare(s.text);
-  if (!prepared.ok()) {
-    s.prepare_status = prepared.status();
-    SwapSpans(s);
-    return;
-  }
-  if (!prepared->immediate.has_value()) {
-    s.prepare_status = system_->VerifyPreparedPlan(prepared->plan);
-    if (s.prepare_status.ok()) {
-      s.summary = std::make_shared<analysis::AccessSummary>(
-          analysis::SummarizePlan(prepared->plan));
+  auto input = lang::MsqlParser::ParseOne(s.text);
+  if (!input.ok()) {
+    s.compile_status = input.status();
+  } else if (!input->query.has_value() &&
+             !input->multitransaction.has_value()) {
+    s.compile_status = Status::InvalidArgument(
+        "only queries and multitransactions can be prepared for "
+        "concurrent execution");
+  } else {
+    CompiledInput compiled =
+        system_->Compile(*input, system_->current_scope_);
+    s.compile_status = system_->CommitScope(&compiled);
+    if (s.compile_status.ok() &&
+        compiled.form == CompiledInput::Form::kViewQuery) {
+      // View queries re-enter the serial front end per multitable
+      // element; they do not compile down to a single plan.
+      s.compile_status = Status::InvalidArgument(
+          "multidatabase view queries execute serially and cannot be "
+          "prepared");
     }
+    if (s.compile_status.ok() && compiled.refusal.ok()) {
+      s.compile_status = system_->VerifyCompiledPlan(compiled.plan);
+      if (s.compile_status.ok()) {
+        s.summary = std::make_shared<analysis::AccessSummary>(
+            analysis::SummarizePlan(compiled.plan));
+      }
+    }
+    if (s.compile_status.ok()) s.compiled = std::move(compiled);
   }
-  if (s.prepare_status.ok()) s.prepared = std::move(*prepared);
   SwapSpans(s);
 }
 
@@ -236,16 +253,18 @@ void FederationServer::Admit(Session& s) {
     s.shed_since = -1;
   }
   SwapSpans(s);
-  if (!s.prepare_status.ok()) {
-    s.result.status = s.prepare_status;
+  if (!s.compile_status.ok()) {
+    s.result.status = s.compile_status;
     s.result.finish_micros = clock_;
     CloseSession(s);
     return;
   }
-  if (s.prepared->immediate.has_value()) {
-    // Refused at prepare time: nothing to run.
-    ExecutionReport report = *std::move(s.prepared->immediate);
-    system_->LogInput(s.prepared->kind, report);
+  if (!s.compiled->refusal.ok()) {
+    // Refused at compile time: nothing to run.
+    const lang::MsqlInput::Kind kind = s.compiled->kind;
+    ExecutionReport report =
+        MultidatabaseSystem::RefusalReport(std::move(*s.compiled));
+    system_->LogInput(kind, report);
     s.result.report = std::move(report);
     s.result.finish_micros = clock_;
     CloseSession(s);
@@ -262,7 +281,7 @@ void FederationServer::Admit(Session& s) {
       static_cast<int64_t>(s.deferred_against.size());
   s.engine = std::make_unique<dol::DolEngine>(&system_->environment(),
                                               system_->retry_policy());
-  Status begun = s.engine->BeginRun(s.prepared->plan.program, clock_);
+  Status begun = s.engine->BeginRun(s.compiled->plan.program, clock_);
   if (!begun.ok()) {
     s.result.status = begun;
     s.result.finish_micros = clock_;
@@ -461,9 +480,8 @@ void FederationServer::AbortParked(Session& s, const std::string& reason,
 void FederationServer::Finish(Session& s, Result<dol::DolRunResult> run) {
   int64_t end = clock_;
   if (run.ok()) end = s.result.admit_micros + run->makespan_micros;
-  const lang::MsqlInput::Kind kind = s.prepared->kind;
-  auto report =
-      system_->FinishPreparedRun(std::move(*s.prepared), std::move(run));
+  const lang::MsqlInput::Kind kind = s.compiled->kind;
+  auto report = system_->FinishRun(std::move(*s.compiled), std::move(run));
   if (!report.ok()) {
     s.result.status = report.status();
   } else {

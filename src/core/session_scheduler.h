@@ -101,7 +101,7 @@ struct SessionResult {
 /// would run as.
 ///
 /// Each submitted input is compiled at admission
-/// (MultidatabaseSystem::Prepare) and its DOL program stepped through
+/// (MultidatabaseSystem::Compile) and its DOL program stepped through
 /// DolEngine::BeginRun/Deliver. At every step the scheduler issues the
 /// earliest pending RPC across all sessions, so calls hit the netsim in
 /// global time order and per-service admission queues see a meaningful
@@ -149,10 +149,10 @@ class FederationServer {
     SessionState state = SessionState::kWaiting;
     /// Frontend compilation ran (Consider is idempotent).
     bool considered = false;
-    /// Outcome of Consider's Prepare/verify, reported at admission.
-    Status prepare_status;
-    /// Static access summary of the prepared plan (null when the input
-    /// resolved at prepare time or failed to prepare).
+    /// Outcome of Consider's compile/verify, reported at admission.
+    Status compile_status;
+    /// Static access summary of the compiled plan (null when the input
+    /// was refused or failed to compile).
     std::shared_ptr<const analysis::AccessSummary> summary;
     /// Sessions conflict-aware admission deferred this one against.
     std::set<uint64_t> deferred_against;
@@ -160,7 +160,7 @@ class FederationServer {
     /// (prepare/commit/rollback), mirrored into the conflict graph so
     /// admission stops deferring candidates against it.
     bool quiesced = false;
-    std::optional<PreparedInput> prepared;
+    std::optional<CompiledInput> compiled;
     std::unique_ptr<dol::DolEngine> engine;
     /// The session's tracer parent stack while it is suspended (holds
     /// the outer stack while the session is swapped in).
@@ -187,7 +187,7 @@ class FederationServer {
   /// candidates whose summaries risk a lock-order deadlock when
   /// `conflict_aware` is on.
   void AdmitEligible();
-  /// Runs the frontend once on the session (Prepare + plan verifier +
+  /// Runs the frontend once on the session (Compile + plan verifier +
   /// access summary); idempotent, so deferred sessions compile once.
   void Consider(Session& s);
   /// Starts the session's DOL program (Consider'd first if needed).

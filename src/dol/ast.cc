@@ -219,13 +219,6 @@ std::string CloseStmt::ToDol(int indent) const {
   return Indent(indent) + "CLOSE " + JoinNames(aliases, " ") + ";\n";
 }
 
-DolProgram DolProgram::CloneProgram() const {
-  DolProgram out;
-  out.statements.reserve(statements.size());
-  for (const auto& s : statements) out.statements.push_back(s->Clone());
-  return out;
-}
-
 std::string DolProgram::ToDol() const {
   std::string out = "DOLBEGIN\n";
   for (const auto& s : statements) out += s->ToDol(1);

@@ -292,7 +292,6 @@ struct DolProgram {
   DolProgram(DolProgram&&) noexcept = default;
   DolProgram& operator=(DolProgram&&) noexcept = default;
 
-  DolProgram CloneProgram() const;
   std::string ToDol() const;
 };
 

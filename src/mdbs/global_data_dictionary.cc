@@ -26,14 +26,6 @@ Status GlobalDataDictionary::RegisterDatabase(std::string_view database,
   return Status::OK();
 }
 
-Status GlobalDataDictionary::RemoveDatabase(std::string_view database) {
-  if (databases_.erase(ToLower(database)) == 0) {
-    return Status::NotFound("database '" + std::string(database) +
-                            "' is not in the GDD");
-  }
-  return Status::OK();
-}
-
 bool GlobalDataDictionary::HasDatabase(std::string_view database) const {
   return databases_.count(ToLower(database)) > 0;
 }
@@ -260,13 +252,6 @@ GlobalDataDictionary::GetMultidatabase(std::string_view name) const {
                             "' does not exist");
   }
   return &it->second;
-}
-
-std::vector<std::string> GlobalDataDictionary::MultidatabaseNames() const {
-  std::vector<std::string> out;
-  out.reserve(multidatabases_.size());
-  for (const auto& [name, members] : multidatabases_) out.push_back(name);
-  return out;
 }
 
 size_t GlobalDataDictionary::TotalTableCount() const {

@@ -78,15 +78,6 @@ Status Environment::SetServiceConcurrency(std::string_view service_name,
   return Status::OK();
 }
 
-int Environment::ServiceConcurrency(std::string_view service_name) const {
-  auto it = queues_.find(ToLower(service_name));
-  return it == queues_.end() ? 0 : it->second.limit;
-}
-
-void Environment::ResetServiceQueues() {
-  for (auto& [service, queue] : queues_) queue.busy_until = {};
-}
-
 std::vector<std::string> Environment::ServiceNames() const {
   std::vector<std::string> out;
   out.reserve(lams_.size());

@@ -129,11 +129,6 @@ class Environment {
   /// driving multiple concurrent sessions must issue their calls in
   /// global time order for the FIFO discipline to be meaningful.
   Status SetServiceConcurrency(std::string_view service_name, int limit);
-  /// The configured limit (0 = unlimited or unknown service).
-  int ServiceConcurrency(std::string_view service_name) const;
-  /// Forgets all queued/busy server state (not the limits); for reusing
-  /// one environment across independent simulated timelines.
-  void ResetServiceQueues();
 
   /// Issues one RPC from the coordinator to `service_name`, starting at
   /// simulated time `at_micros`. Network unavailability is reported in

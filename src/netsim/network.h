@@ -43,14 +43,11 @@ class Network {
 
   /// Registers a site (idempotent).
   void AddSite(std::string_view name);
-  bool HasSite(std::string_view name) const;
-  std::vector<std::string> SiteNames() const;
 
   /// Marks a site unreachable / reachable. Fails with kNotFound for an
   /// unknown site — a silently ignored misspelling here used to turn a
   /// chaos scenario into a no-op that still "passed".
   Status SetSiteDown(std::string_view name, bool down);
-  bool IsSiteDown(std::string_view name) const;
 
   /// Default parameters for links without an explicit setting.
   void set_default_link(LinkParams params) { default_link_ = params; }
@@ -74,7 +71,6 @@ class Network {
                                  int64_t bytes);
 
   const NetworkStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = NetworkStats{}; }
 
  private:
   struct SiteState {

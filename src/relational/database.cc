@@ -94,13 +94,6 @@ bool Database::HasView(std::string_view view) const {
   return views_.count(ToLower(view)) > 0;
 }
 
-std::vector<std::string> Database::ViewNames() const {
-  std::vector<std::string> names;
-  names.reserve(views_.size());
-  for (const auto& [name, def] : views_) names.push_back(name);
-  return names;
-}
-
 Status Database::CreateView(std::string_view view,
                             std::unique_ptr<SelectStmt> definition) {
   std::string key = ToLower(view);

@@ -62,7 +62,6 @@ class Database {
   // query time. Their definitions are exportable through IMPORT VIEW.
 
   bool HasView(std::string_view view) const;
-  std::vector<std::string> ViewNames() const;
 
   /// Registers a view; the name must not collide with a table or view.
   Status CreateView(std::string_view view,

@@ -425,21 +425,8 @@ Result<TxnState> LocalEngine::GetTxnState(SessionId session_id) const {
   return session->last_state;
 }
 
-Result<bool> LocalEngine::InTransaction(SessionId session_id) const {
-  MSQL_ASSIGN_OR_RETURN(const Session* session,
-                        FindSessionConst(session_id));
-  return session->txn != nullptr;
-}
-
 bool LocalEngine::IsCorrupted(std::string_view db_name) const {
   return corrupted_dbs_.count(ToLower(db_name)) > 0;
-}
-
-std::vector<std::string> LocalEngine::CorruptedDatabases() const {
-  std::vector<std::string> out;
-  out.reserve(corrupted_dbs_.size());
-  for (const auto& [name, diag] : corrupted_dbs_) out.push_back(name);
-  return out;
 }
 
 std::vector<SessionId> LocalEngine::BlockingSessions() const {

@@ -13,11 +13,6 @@ void RowBinding::AddTable(const std::string& table_name,
   }
 }
 
-void RowBinding::AddColumn(const std::string& table_name,
-                           const std::string& column_name) {
-  entries_.push_back(Entry{table_name, column_name});
-}
-
 Result<size_t> RowBinding::Resolve(std::string_view qualifier,
                                    std::string_view name) const {
   size_t found = entries_.size();
@@ -45,21 +40,6 @@ Result<size_t> RowBinding::Resolve(std::string_view qualifier,
     return Status::NotFound("unknown column '" + full + "'");
   }
   return found;
-}
-
-bool RowBinding::CanResolve(std::string_view qualifier,
-                            std::string_view name) const {
-  for (const auto& entry : entries_) {
-    if (EqualsIgnoreCase(entry.column, name) &&
-        (qualifier.empty() || EqualsIgnoreCase(entry.table, qualifier))) {
-      return true;
-    }
-  }
-  return false;
-}
-
-std::string RowBinding::DescribeEntry(size_t i) const {
-  return entries_[i].table + "." + entries_[i].column;
 }
 
 bool ExprEvaluator::LikeMatch(std::string_view pattern,

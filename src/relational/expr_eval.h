@@ -22,23 +22,12 @@ class RowBinding {
   /// `table_name` (already lower-cased by the caller).
   void AddTable(const std::string& table_name, const TableSchema& schema);
 
-  /// Appends one synthetic column (used for output-alias visibility in
-  /// ORDER BY/HAVING).
-  void AddColumn(const std::string& table_name,
-                 const std::string& column_name);
-
   /// Resolves `qualifier.name` (qualifier may be empty) to a row index.
   /// Unqualified names matching columns of several tables are ambiguous.
   Result<size_t> Resolve(std::string_view qualifier,
                          std::string_view name) const;
 
-  /// True if the name resolves (unambiguously or not).
-  bool CanResolve(std::string_view qualifier, std::string_view name) const;
-
   size_t size() const { return entries_.size(); }
-
-  /// Entry i as "table.column".
-  std::string DescribeEntry(size_t i) const;
 
  private:
   struct Entry {

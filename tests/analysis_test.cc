@@ -873,6 +873,26 @@ TEST_F(AnalyzeTest, AnalyzeLeavesSessionScopeUntouched) {
           .ok());
   ASSERT_EQ(sys_->current_scope().entries.size(), 1u);
   EXPECT_EQ(sys_->current_scope().entries[0].database, "avis");
+
+  // A multitransaction resolves one scope per query; none of them sticks.
+  auto mt = sys_->Analyze(
+      "BEGIN MULTITRANSACTION\n"
+      "USE continental delta\n"
+      "UPDATE flight% SET rate% = rate% * 1.1;\n"
+      "USE united\n"
+      "UPDATE flight SET rates = rates * 1.1;\n"
+      "COMMIT continental AND delta AND united END MULTITRANSACTION");
+  ASSERT_TRUE(mt.ok()) << mt.status();
+  EXPECT_TRUE(mt->translated) << mt->diagnostics.RenderAll() << mt->error;
+  ASSERT_EQ(sys_->current_scope().entries.size(), 1u);
+  EXPECT_EQ(sys_->current_scope().entries[0].database, "avis");
+
+  // Neither does the scope of an input that fails the checker.
+  auto failing = sys_->Analyze("USE delta hertz\nSELECT day FROM flight%;");
+  ASSERT_TRUE(failing.ok()) << failing.status();
+  EXPECT_TRUE(failing->diagnostics.has_errors());
+  ASSERT_EQ(sys_->current_scope().entries.size(), 1u);
+  EXPECT_EQ(sys_->current_scope().entries[0].database, "avis");
 }
 
 TEST_F(AnalyzeTest, AnalyzeReportsRefusalWithoutExecuting) {

@@ -14,6 +14,7 @@
 #include "core/mdbs_system.h"
 #include "core/session_scheduler.h"
 #include "dol/engine.h"
+#include "dol/parser.h"
 
 namespace msql::core {
 namespace {
@@ -345,19 +346,24 @@ TEST_F(ConcurrencyTest, ServerReusableAcrossBatches) {
 // BeginRun/pending/Deliver reproduces DolEngine::Run outcome for
 // outcome — same timeline, same traffic, same per-task verdicts.
 TEST_F(ConcurrencyTest, ManualStepperLoopMatchesRun) {
+  // The compiled plan, recovered from its printed DOL.
+  auto plan_of = [](MultidatabaseSystem* sys) -> Result<dol::DolProgram> {
+    MSQL_ASSIGN_OR_RETURN(AnalysisReport analysis,
+                          sys->Analyze(SeatMt("norma")));
+    return dol::ParseDol(analysis.dol_text);
+  };
   auto ran = Build();
-  auto prepared_run = ran->Prepare(SeatMt("norma"));
-  ASSERT_TRUE(prepared_run.ok()) << prepared_run.status();
+  auto program_run = plan_of(ran.get());
+  ASSERT_TRUE(program_run.ok()) << program_run.status();
   dol::DolEngine run_engine(&ran->environment());
-  auto by_run = run_engine.Run(prepared_run->plan.program);
+  auto by_run = run_engine.Run(*program_run);
   ASSERT_TRUE(by_run.ok()) << by_run.status();
 
   auto stepped = Build();
-  auto prepared_step = stepped->Prepare(SeatMt("norma"));
-  ASSERT_TRUE(prepared_step.ok()) << prepared_step.status();
+  auto program_step = plan_of(stepped.get());
+  ASSERT_TRUE(program_step.ok()) << program_step.status();
   dol::DolEngine step_engine(&stepped->environment());
-  ASSERT_TRUE(
-      step_engine.BeginRun(prepared_step->plan.program, 0).ok());
+  ASSERT_TRUE(step_engine.BeginRun(*program_step, 0).ok());
   int steps = 0;
   while (!step_engine.done()) {
     const dol::DolEngine::PendingRpc* rpc = step_engine.pending();

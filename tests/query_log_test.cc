@@ -218,5 +218,38 @@ TEST_F(QueryLogTest, ClearRestartsTheSession) {
   EXPECT_EQ(records[0].sim_start_micros, 0);
 }
 
+// A script logs exactly what executing its inputs one at a time logs:
+// catalog inputs included, in the same order, with the same records.
+TEST_F(QueryLogTest, ExecuteScriptLogsLikeOneAtATime) {
+  const std::vector<std::string> inputs = {
+      "CREATE MULTIDATABASE airlines (continental, delta, united)",
+      "USE airlines\nSELECT day FROM flight% WHERE sour% = 'Houston'",
+      kCompensatedRaise,
+      "ANALYZE DATABASE avis",
+      kRefusedSelect,
+      "BEGIN MULTITRANSACTION\n"
+      "USE delta avis\n"
+      "LET tab.key.stat BE fnu747.snu.sstat cars.code.carst\n"
+      "UPDATE tab SET stat = 'HELD'\n"
+      "WHERE key = (SELECT MIN(key) FROM tab);\n"
+      "COMMIT delta AND avis END MULTITRANSACTION",
+      "DROP MULTIDATABASE airlines"};
+  std::string script;
+  for (const auto& input : inputs) script += input + ";\n";
+
+  auto reports = sys_->ExecuteScript(script);
+  ASSERT_TRUE(reports.ok()) << reports.status();
+  ASSERT_EQ(reports->size(), inputs.size());
+
+  std::unique_ptr<MultidatabaseSystem> one_by_one;
+  BuildSystem(&one_by_one);
+  for (const auto& input : inputs) {
+    auto report = one_by_one->Execute(input);
+    ASSERT_TRUE(report.ok()) << input << "\n" << report.status();
+  }
+  ASSERT_EQ(one_by_one->query_log().records().size(), inputs.size());
+  EXPECT_EQ(sys_->query_log().ToJsonl(), one_by_one->query_log().ToJsonl());
+}
+
 }  // namespace
 }  // namespace msql::core

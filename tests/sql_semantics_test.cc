@@ -252,35 +252,39 @@ TEST_F(SqlSemanticsTest, ScalarSubqueryCardinalityErrors) {
 }
 
 /// Parameterized sweep: WHERE predicates and their expected match
-/// counts over the fixture rows.
+/// counts over the fixture rows. The predicate is a std::string, not a
+/// const char*, so gtest prints the parameter by value: a pointer would
+/// put its run-dependent address into every discovered test name.
+using PredicateCase = std::tuple<std::string, int>;
+
 class PredicateSweepTest
     : public SqlSemanticsTest,
-      public ::testing::WithParamInterface<std::tuple<const char*, int>> {
+      public ::testing::WithParamInterface<PredicateCase> {
  protected:
   void SetUp() override { SqlSemanticsTest::SetUp(); }
 };
 
 TEST_P(PredicateSweepTest, MatchesExpectedRowCount) {
-  auto [predicate, expected] = GetParam();
+  const auto& [predicate, expected] = GetParam();
   EXPECT_EQ(CountWhere(predicate), expected) << predicate;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Predicates, PredicateSweepTest,
     ::testing::Values(
-        std::make_tuple("TRUE", 5), std::make_tuple("FALSE", 0),
-        std::make_tuple("i + 1 = 2", 1),
-        std::make_tuple("i * i > 10", 2),
-        std::make_tuple("r / 2 < 1", 1),
-        std::make_tuple("ABS(0 - i) = i", 4),
-        std::make_tuple("LENGTH(s) = 1", 4),
-        std::make_tuple("UPPER(s) = 'A'", 2),
-        std::make_tuple("i IS NULL OR s IS NULL", 2),
-        std::make_tuple("i IS NULL AND s IS NULL", 0),
-        std::make_tuple("NOT (i IS NULL OR s IS NULL)", 3),
-        std::make_tuple("i BETWEEN 1 AND 5 AND s LIKE '_'", 3),
-        std::make_tuple("ROUND(r) = 2.0", 1),
-        std::make_tuple("i IN (SELECT MAX(i) FROM t)", 1)));
+        PredicateCase{"TRUE", 5}, PredicateCase{"FALSE", 0},
+        PredicateCase{"i + 1 = 2", 1},
+        PredicateCase{"i * i > 10", 2},
+        PredicateCase{"r / 2 < 1", 1},
+        PredicateCase{"ABS(0 - i) = i", 4},
+        PredicateCase{"LENGTH(s) = 1", 4},
+        PredicateCase{"UPPER(s) = 'A'", 2},
+        PredicateCase{"i IS NULL OR s IS NULL", 2},
+        PredicateCase{"i IS NULL AND s IS NULL", 0},
+        PredicateCase{"NOT (i IS NULL OR s IS NULL)", 3},
+        PredicateCase{"i BETWEEN 1 AND 5 AND s LIKE '_'", 3},
+        PredicateCase{"ROUND(r) = 2.0", 1},
+        PredicateCase{"i IN (SELECT MAX(i) FROM t)", 1}));
 
 }  // namespace
 }  // namespace msql::relational
