@@ -557,10 +557,6 @@ Result<std::string> LocalEngine::ExplainSql(SessionId session_id,
                                             std::string_view sql) {
   MSQL_ASSIGN_OR_RETURN(Session * session, FindSession(session_id));
   MSQL_ASSIGN_OR_RETURN(StatementPtr stmt, ParseSql(sql));
-  if (stmt->kind() != StatementKind::kSelect) {
-    return Status::InvalidArgument("EXPLAIN requires a SELECT statement");
-  }
-  const auto& select = static_cast<const SelectStmt&>(*stmt);
   MSQL_ASSIGN_OR_RETURN(Database * db, GetDatabase(session->db_name));
   ExecutorOptions options;
   options.record_ddl_undo = profile_.ddl_rollbackable;
@@ -574,13 +570,13 @@ Result<std::string> LocalEngine::ExplainSql(SessionId session_id,
           std::string(TxnStateName(session->txn->state())));
     }
     Executor executor(db, session->txn.get(), &locks_, options);
-    return executor.ExplainSelect(select);
+    return executor.Explain(*stmt);
   }
   // No open transaction: plan under a short-lived read transaction
   // (view materialization still takes and releases shared locks).
   Transaction txn(next_txn_id_++);
   Executor executor(db, &txn, &locks_, options);
-  Result<std::string> text = executor.ExplainSelect(select);
+  Result<std::string> text = executor.Explain(*stmt);
   locks_.ReleaseAll(&txn);
   return text;
 }

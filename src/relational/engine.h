@@ -150,9 +150,10 @@ class LocalEngine {
   Result<ResultSet> ExecuteStatement(SessionId session,
                                      const Statement& stmt);
 
-  /// EXPLAIN: parses `sql` (which must be a SELECT) and returns the
-  /// local planner's text rendering of its physical plan without
-  /// running the join. Uses the session's open transaction when there
+  /// EXPLAIN: parses `sql` (a SELECT, UPDATE or DELETE) and returns
+  /// the local planner's text rendering of its plan without running it:
+  /// the join plan of a SELECT, the target's access path of an UPDATE
+  /// or DELETE. Uses the session's open transaction when there
   /// is one, a short-lived read transaction otherwise.
   Result<std::string> ExplainSql(SessionId session, std::string_view sql);
 

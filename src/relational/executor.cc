@@ -96,36 +96,6 @@ class AggAccumulator {
   bool has_minmax_ = false;
 };
 
-/// Looks for a top-level AND-conjunct `col = literal` (either operand
-/// order) matching an index of `table`; fills `index`/`probe` when one
-/// is found.
-void FindIndexProbe(const Expr& where, const Table& table,
-                    const Index** index, Value* probe) {
-  if (where.kind() == ExprKind::kBinary) {
-    const auto& b = static_cast<const BinaryExpr&>(where);
-    if (b.op() == BinaryOp::kAnd) {
-      FindIndexProbe(b.left(), table, index, probe);
-      if (*index == nullptr) FindIndexProbe(b.right(), table, index, probe);
-      return;
-    }
-    if (b.op() == BinaryOp::kEq) {
-      const Expr* col = &b.left();
-      const Expr* lit = &b.right();
-      if (col->kind() != ExprKind::kColumnRef) std::swap(col, lit);
-      if (col->kind() != ExprKind::kColumnRef ||
-          lit->kind() != ExprKind::kLiteral) {
-        return;
-      }
-      const auto& ref = static_cast<const ColumnRefExpr&>(*col);
-      const Index* found = table.FindIndexOnColumn(ref.name());
-      if (found != nullptr) {
-        *index = found;
-        *probe = static_cast<const LiteralExpr&>(*lit).value();
-      }
-    }
-  }
-}
-
 /// Hash-join key hashing, consistent with Value::Compare equality:
 /// numerics normalize to double (collapsing -0.0 into 0.0) so that
 /// hash-equal always agrees with Compare == 0 across INTEGER/REAL.
@@ -301,22 +271,10 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
   if (options_.metrics != nullptr) options_.metrics->Inc("sql.selects");
   bool planned = options_.use_planner;
   if (planned) {
-    std::vector<PlannerSource> planner_sources;
-    planner_sources.reserve(sources.size());
-    for (const auto& src : sources) {
-      PlannerSource ps;
-      ps.effective_name = src.effective_name;
-      ps.schema = &src.schema;
-      ps.row_count = src.table != nullptr
-                         ? src.table->live_row_count()
-                         : src.rows.size();
-      ps.table = src.table;
-      planner_sources.push_back(std::move(ps));
-    }
     SelectPlan plan;
     {
       obs::ScopedSpan plan_span(options_.tracer, "sql.plan", "sql");
-      MSQL_ASSIGN_OR_RETURN(plan, PlanSelect(stmt, planner_sources));
+      MSQL_ASSIGN_OR_RETURN(plan, PlanSelect(stmt, ToPlannerSources(sources)));
       if (plan_span.active() && !plan.fallback_reason.empty()) {
         plan_span.Annotate("fallback", plan.fallback_reason);
       }
@@ -325,7 +283,7 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
     if (plan.fallback_reason.empty()) {
       MSQL_ASSIGN_OR_RETURN(
           matched_rows,
-          RunPlannedJoin(stmt, plan, &sources, evaluator, &rows_scanned,
+          RunPlannedJoin(plan, &sources, evaluator, &rows_scanned,
                          &rows_evaluated));
     } else {
       if (options_.metrics != nullptr) {
@@ -562,26 +520,16 @@ Result<std::vector<Row>> Executor::RunNaiveJoin(
     const SelectStmt& stmt, std::vector<ResolvedSource>* sources,
     const ExprEvaluator& evaluator, int64_t* rows_scanned,
     int64_t* rows_evaluated) {
-  // Access-path selection as the original executor had it: only a
-  // single-table query with a `col = literal` conjunct over an indexed
-  // column probes the index; everything else scans.
+  // Only a single-table query chooses an index path here; a naive join
+  // scans every source.
   for (auto& src : *sources) {
     if (src.table == nullptr) continue;  // view, already materialized
-    const Index* index = nullptr;
-    Value probe;
-    if (sources->size() == 1 && stmt.where != nullptr) {
-      FindIndexProbe(*stmt.where, *src.table, &index, &probe);
+    AccessPath path;
+    if (sources->size() == 1) {
+      path = ChoosePathForWhere(*src.table, src.effective_name,
+                                stmt.where.get());
     }
-    if (index != nullptr) {
-      MSQL_ASSIGN_OR_RETURN(std::vector<RowId> ids, index->LookupIds(probe));
-      src.rows.reserve(ids.size());
-      for (RowId id : ids) {
-        MSQL_ASSIGN_OR_RETURN(Row row, src.table->ReadRow(id));
-        src.rows.push_back(std::move(row));
-      }
-    } else {
-      MSQL_ASSIGN_OR_RETURN(src.rows, src.table->ScanRows());
-    }
+    MSQL_ASSIGN_OR_RETURN(src.rows, FetchRows(*src.table, path));
   }
   for (const auto& src : *sources) {
     *rows_scanned += static_cast<int64_t>(src.rows.size());
@@ -621,7 +569,7 @@ Result<std::vector<Row>> Executor::RunNaiveJoin(
 }
 
 Result<std::vector<Row>> Executor::RunPlannedJoin(
-    const SelectStmt& stmt, const SelectPlan& plan,
+    const SelectPlan& plan,
     std::vector<ResolvedSource>* sources, const ExprEvaluator& evaluator,
     int64_t* rows_scanned, int64_t* rows_evaluated) {
   obs::ScopedSpan join_span(options_.tracer, "sql.join", "sql");
@@ -642,20 +590,7 @@ Result<std::vector<Row>> Executor::RunPlannedJoin(
       *rows_scanned += static_cast<int64_t>(src.rows.size());
       continue;
     }
-    if (const PlannedProbe* probe = plan.ProbeFor(i)) {
-      if (options_.metrics != nullptr) {
-        options_.metrics->Inc("sql.index_probes");
-      }
-      MSQL_ASSIGN_OR_RETURN(std::vector<RowId> ids,
-                            probe->index->LookupIds(probe->key));
-      src.rows.reserve(ids.size());
-      for (RowId id : ids) {
-        MSQL_ASSIGN_OR_RETURN(Row row, src.table->ReadRow(id));
-        src.rows.push_back(std::move(row));
-      }
-    } else {
-      MSQL_ASSIGN_OR_RETURN(src.rows, src.table->ScanRows());
-    }
+    MSQL_ASSIGN_OR_RETURN(src.rows, FetchRows(*src.table, plan.access[i]));
     *rows_scanned += static_cast<int64_t>(src.rows.size());
   }
 
@@ -818,18 +753,10 @@ Result<std::vector<Row>> Executor::RunPlannedJoin(
   return matched_rows;
 }
 
-Result<std::string> Executor::ExplainSelect(const SelectStmt& stmt) {
-  if (stmt.from.empty()) {
-    return Status::ExecutionError("SELECT without FROM is not supported");
-  }
-  obs::ScopedSpan plan_span(options_.tracer, "sql.plan", "sql");
-  std::vector<ResolvedSource> sources;
-  RowBinding binding;
-  int64_t recursive_scanned = 0;
-  MSQL_RETURN_IF_ERROR(
-      ResolveSources(stmt, &sources, &binding, &recursive_scanned));
-  std::vector<PlannerSource> planner_sources;
-  planner_sources.reserve(sources.size());
+std::vector<PlannerSource> Executor::ToPlannerSources(
+    const std::vector<ResolvedSource>& sources) {
+  std::vector<PlannerSource> out;
+  out.reserve(sources.size());
   for (const auto& src : sources) {
     PlannerSource ps;
     ps.effective_name = src.effective_name;
@@ -837,9 +764,81 @@ Result<std::string> Executor::ExplainSelect(const SelectStmt& stmt) {
     ps.row_count = src.table != nullptr ? src.table->live_row_count()
                                         : src.rows.size();
     ps.table = src.table;
-    planner_sources.push_back(std::move(ps));
+    out.push_back(std::move(ps));
   }
-  MSQL_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelect(stmt, planner_sources));
+  return out;
+}
+
+AccessPath Executor::ChoosePathForWhere(const Table& table,
+                                        std::string_view effective_name,
+                                        const Expr* where) {
+  if (where == nullptr) return AccessPath{};
+  std::vector<const Expr*> conjuncts;
+  SplitConjuncts(*where, &conjuncts);
+  return ChooseAccessPath(conjuncts, table, effective_name);
+}
+
+Result<std::vector<RowId>> Executor::FetchIds(const Table& table,
+                                              const AccessPath& path) {
+  if (!path.is_probe()) return table.ScanRowIds();
+  if (options_.metrics != nullptr) options_.metrics->Inc("sql.index_probes");
+  if (path.kind == AccessPath::Kind::kEqual) {
+    return path.index->LookupIds(path.key);
+  }
+  return path.index->LookupRange(path.lo, path.hi);
+}
+
+Result<std::vector<Row>> Executor::FetchRows(const Table& table,
+                                             const AccessPath& path) {
+  if (!path.is_probe()) return table.ScanRows();
+  MSQL_ASSIGN_OR_RETURN(std::vector<RowId> ids, FetchIds(table, path));
+  std::vector<Row> rows;
+  rows.reserve(ids.size());
+  for (RowId id : ids) {
+    MSQL_ASSIGN_OR_RETURN(Row row, table.ReadRow(id));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+Result<std::string> Executor::Explain(const Statement& stmt) {
+  obs::ScopedSpan plan_span(options_.tracer, "sql.plan", "sql");
+  if (stmt.kind() == StatementKind::kUpdate ||
+      stmt.kind() == StatementKind::kDelete) {
+    const bool update = stmt.kind() == StatementKind::kUpdate;
+    const TableRef& ref =
+        update ? static_cast<const UpdateStmt&>(stmt).table
+               : static_cast<const DeleteStmt&>(stmt).table;
+    const Expr* where =
+        update ? static_cast<const UpdateStmt&>(stmt).where.get()
+               : static_cast<const DeleteStmt&>(stmt).where.get();
+    MSQL_RETURN_IF_ERROR(CheckQualifier(ref));
+    MSQL_RETURN_IF_ERROR(RejectViewTarget(ref));
+    MSQL_RETURN_IF_ERROR(locks_->Acquire(txn_, LockKey(ref.table),
+                                         LockManager::Mode::kShared));
+    MSQL_ASSIGN_OR_RETURN(const Table* table, db_->GetTableConst(ref.table));
+    const std::string effective = ToLower(ref.EffectiveName());
+    std::string out = std::string("plan: ") +
+                      (update ? "update " : "delete ") + effective + ": " +
+                      ChoosePathForWhere(*table, effective, where).Explain();
+    if (where != nullptr) out += "; filter " + where->ToSql();
+    return out + "\n";
+  }
+  if (stmt.kind() != StatementKind::kSelect) {
+    return Status::InvalidArgument(
+        "EXPLAIN requires a SELECT, UPDATE or DELETE statement");
+  }
+  const auto& select = static_cast<const SelectStmt&>(stmt);
+  if (select.from.empty()) {
+    return Status::ExecutionError("SELECT without FROM is not supported");
+  }
+  std::vector<ResolvedSource> sources;
+  RowBinding binding;
+  int64_t recursive_scanned = 0;
+  MSQL_RETURN_IF_ERROR(
+      ResolveSources(select, &sources, &binding, &recursive_scanned));
+  MSQL_ASSIGN_OR_RETURN(SelectPlan plan,
+                        PlanSelect(select, ToPlannerSources(sources)));
   return plan.Explain();
 }
 
@@ -915,14 +914,24 @@ Result<ResultSet> Executor::ExecuteInsert(const InsertStmt& stmt) {
 }
 
 Result<ResultSet> Executor::ExecuteUpdate(const UpdateStmt& stmt) {
-  MSQL_RETURN_IF_ERROR(CheckQualifier(stmt.table));
-  MSQL_RETURN_IF_ERROR(RejectViewTarget(stmt.table));
-  MSQL_RETURN_IF_ERROR(locks_->Acquire(txn_, LockKey(stmt.table.table),
+  return ExecuteWrite(stmt.table, stmt.where.get(), &stmt.assignments);
+}
+
+Result<ResultSet> Executor::ExecuteDelete(const DeleteStmt& stmt) {
+  return ExecuteWrite(stmt.table, stmt.where.get(), nullptr);
+}
+
+Result<ResultSet> Executor::ExecuteWrite(
+    const TableRef& ref, const Expr* where,
+    const std::vector<Assignment>* assignments) {
+  MSQL_RETURN_IF_ERROR(CheckQualifier(ref));
+  MSQL_RETURN_IF_ERROR(RejectViewTarget(ref));
+  MSQL_RETURN_IF_ERROR(locks_->Acquire(txn_, LockKey(ref.table),
                                        LockManager::Mode::kExclusive));
-  MSQL_ASSIGN_OR_RETURN(Table * table, db_->GetTable(stmt.table.table));
+  MSQL_ASSIGN_OR_RETURN(Table * table, db_->GetTable(ref.table));
   const TableSchema& schema = table->schema();
 
-  std::string effective = ToLower(stmt.table.EffectiveName());
+  std::string effective = ToLower(ref.EffectiveName());
   RowBinding binding;
   binding.AddTable(effective, schema);
   ExprEvaluator evaluator(
@@ -932,94 +941,71 @@ Result<ResultSet> Executor::ExecuteUpdate(const UpdateStmt& stmt) {
 
   // Resolve assignment targets.
   std::vector<size_t> targets;
-  for (const auto& a : stmt.assignments) {
-    auto idx = schema.FindColumn(a.column);
-    if (!idx.has_value()) {
-      return Status::NotFound("column '" + a.column + "' not in table '" +
-                              schema.table_name() + "'");
+  if (assignments != nullptr) {
+    for (const auto& a : *assignments) {
+      auto idx = schema.FindColumn(a.column);
+      if (!idx.has_value()) {
+        return Status::NotFound("column '" + a.column + "' not in table '" +
+                                schema.table_name() + "'");
+      }
+      targets.push_back(*idx);
     }
-    targets.push_back(*idx);
   }
 
-  // Phase 1: collect matching rows and compute their new images against
-  // the pre-update state (scalar subqueries in WHERE/SET therefore see a
-  // consistent snapshot).
-  struct Planned {
+  // Phase 1: fetch rows along the chosen access path, keep those that
+  // satisfy the full WHERE, and compute every new image against the
+  // pre-statement state. Scalar subqueries in WHERE/SET therefore see a
+  // consistent snapshot, and a SET on the indexed column cannot move a
+  // row into the range still being read.
+  const AccessPath path = ChoosePathForWhere(*table, effective, where);
+  MSQL_ASSIGN_OR_RETURN(std::vector<RowId> ids, FetchIds(*table, path));
+  struct Change {
     RowId id;
-    Row new_row;
+    Row new_row;  // UPDATE only
   };
-  std::vector<Planned> planned;
-  for (RowId id : table->ScanRowIds()) {
+  std::vector<Change> changes;
+  for (RowId id : ids) {
     MSQL_ASSIGN_OR_RETURN(Row row, table->ReadRow(id));
     bool keep = true;
-    if (stmt.where != nullptr) {
-      MSQL_ASSIGN_OR_RETURN(keep, evaluator.EvalPredicate(*stmt.where, row));
+    if (where != nullptr) {
+      MSQL_ASSIGN_OR_RETURN(keep, evaluator.EvalPredicate(*where, row));
     }
     if (!keep) continue;
-    Row new_row = row;
-    for (size_t i = 0; i < stmt.assignments.size(); ++i) {
-      MSQL_ASSIGN_OR_RETURN(Value v,
-                            evaluator.Eval(*stmt.assignments[i].value, row));
-      new_row[targets[i]] = std::move(v);
+    Change change{id, {}};
+    if (assignments != nullptr) {
+      change.new_row = row;
+      for (size_t i = 0; i < assignments->size(); ++i) {
+        MSQL_ASSIGN_OR_RETURN(change.new_row[targets[i]],
+                              evaluator.Eval(*(*assignments)[i].value, row));
+      }
     }
-    planned.push_back(Planned{id, std::move(new_row)});
+    changes.push_back(std::move(change));
   }
 
   // Phase 2: apply.
-  for (auto& p : planned) {
-    MSQL_ASSIGN_OR_RETURN(Row before, table->Update(p.id, std::move(p.new_row)));
+  for (auto& change : changes) {
     UndoRecord rec;
-    rec.kind = UndoRecord::Kind::kUpdate;
-    rec.database = db_->name();
-    rec.table = schema.table_name();
-    rec.row_id = p.id;
-    rec.before = std::move(before);
-    txn_->RecordUndo(std::move(rec));
-  }
-  ResultSet out;
-  out.rows_affected = static_cast<int64_t>(planned.size());
-  out.rows_scanned = static_cast<int64_t>(table->ScanRowIds().size());
-  return out;
-}
-
-Result<ResultSet> Executor::ExecuteDelete(const DeleteStmt& stmt) {
-  MSQL_RETURN_IF_ERROR(CheckQualifier(stmt.table));
-  MSQL_RETURN_IF_ERROR(RejectViewTarget(stmt.table));
-  MSQL_RETURN_IF_ERROR(locks_->Acquire(txn_, LockKey(stmt.table.table),
-                                       LockManager::Mode::kExclusive));
-  MSQL_ASSIGN_OR_RETURN(Table * table, db_->GetTable(stmt.table.table));
-  const TableSchema& schema = table->schema();
-
-  std::string effective = ToLower(stmt.table.EffectiveName());
-  RowBinding binding;
-  binding.AddTable(effective, schema);
-  ExprEvaluator evaluator(
-      &binding, [this](const SelectStmt& sub) -> Result<Value> {
-        return EvalScalarSubquery(sub);
-      });
-
-  std::vector<RowId> victims;
-  for (RowId id : table->ScanRowIds()) {
-    MSQL_ASSIGN_OR_RETURN(Row row, table->ReadRow(id));
-    bool keep = true;
-    if (stmt.where != nullptr) {
-      MSQL_ASSIGN_OR_RETURN(keep, evaluator.EvalPredicate(*stmt.where, row));
+    if (assignments != nullptr) {
+      rec.kind = UndoRecord::Kind::kUpdate;
+      MSQL_ASSIGN_OR_RETURN(
+          rec.before, table->Update(change.id, std::move(change.new_row)));
+    } else {
+      rec.kind = UndoRecord::Kind::kDelete;
+      MSQL_ASSIGN_OR_RETURN(rec.before, table->Delete(change.id));
     }
-    if (keep) victims.push_back(id);
-  }
-  for (RowId id : victims) {
-    MSQL_ASSIGN_OR_RETURN(Row before, table->Delete(id));
-    UndoRecord rec;
-    rec.kind = UndoRecord::Kind::kDelete;
     rec.database = db_->name();
     rec.table = schema.table_name();
-    rec.row_id = id;
-    rec.before = std::move(before);
+    rec.row_id = change.id;
     txn_->RecordUndo(std::move(rec));
   }
   ResultSet out;
-  out.rows_affected = static_cast<int64_t>(victims.size());
-  out.rows_scanned = static_cast<int64_t>(table->ScanRowIds().size());
+  out.rows_affected = static_cast<int64_t>(changes.size());
+  // A probe reports the rows it fetched. A scan reports the live rows
+  // after the statement: the LAM charges this figure to the simulated
+  // clock, so it must not move.
+  out.rows_scanned = path.is_probe() ? static_cast<int64_t>(ids.size())
+                                     : static_cast<int64_t>(
+                                           table->live_row_count());
   return out;
 }
 

@@ -2,6 +2,7 @@
 #define MSQL_RELATIONAL_EXECUTOR_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -42,9 +43,11 @@ struct ExecutorOptions {
 /// for writes) with the no-wait conflict policy.
 ///
 /// SELECT runs through the local planner (relational/planner.h):
-/// single-source conjuncts are pushed below the join, indexed
-/// `col = literal` conjuncts become probes, and `a.x = b.y` conjuncts
-/// drive build/probe hash joins in a greedy cardinality order. The
+/// single-source conjuncts are pushed below the join, each base table
+/// is read along the access path ChooseAccessPath picks (scan, index
+/// equality or index range), and `a.x = b.y` conjuncts drive
+/// build/probe hash joins in a greedy cardinality order. UPDATE and
+/// DELETE read their target along the same chooser's path. The
 /// original naive executor (full cross product, one WHERE evaluation
 /// per combined row) is preserved behind ExecutorOptions::use_planner
 /// as the semantics oracle for differential tests.
@@ -69,10 +72,12 @@ class Executor {
   Result<ResultSet> ExecuteCreateIndex(const CreateIndexStmt& stmt);
   Result<ResultSet> ExecuteDropIndex(const DropIndexStmt& stmt);
 
-  /// EXPLAIN: resolves and plans the SELECT without running the join,
-  /// returning the plan's deterministic text rendering. Views are still
-  /// materialized (their cardinality feeds the join-order estimates).
-  Result<std::string> ExplainSelect(const SelectStmt& stmt);
+  /// EXPLAIN: the deterministic text rendering of the plan, without
+  /// running it. A SELECT is resolved and planned (views are still
+  /// materialized — their cardinality feeds the join-order estimates);
+  /// an UPDATE or DELETE renders its target's chosen access path. Any
+  /// other statement is refused.
+  Result<std::string> Explain(const Statement& stmt);
 
  private:
   /// One resolved FROM source: schema, effective name, and (for views)
@@ -95,8 +100,7 @@ class Executor {
   /// The planned SELECT pipeline: fetch per access path, filter pushed
   /// conjuncts per source, run the hash/nested-loop join steps, apply
   /// the final residual. Produces joined rows in FROM-major order.
-  Result<std::vector<Row>> RunPlannedJoin(const SelectStmt& stmt,
-                                          const SelectPlan& plan,
+  Result<std::vector<Row>> RunPlannedJoin(const SelectPlan& plan,
                                           std::vector<ResolvedSource>* sources,
                                           const ExprEvaluator& evaluator,
                                           int64_t* rows_scanned,
@@ -109,6 +113,29 @@ class Executor {
                                         const ExprEvaluator& evaluator,
                                         int64_t* rows_scanned,
                                         int64_t* rows_evaluated);
+
+  static std::vector<PlannerSource> ToPlannerSources(
+      const std::vector<ResolvedSource>& sources);
+
+  /// RowIds of `table` along `path`, ascending; every probe counts one
+  /// `sql.index_probes`.
+  Result<std::vector<RowId>> FetchIds(const Table& table,
+                                      const AccessPath& path);
+
+  /// Rows of `table` along `path`, in RowId order.
+  Result<std::vector<Row>> FetchRows(const Table& table,
+                                     const AccessPath& path);
+
+  /// The access path of a single-table statement (UPDATE, DELETE, a
+  /// naive one-source SELECT) from its whole WHERE; a scan without one.
+  static AccessPath ChoosePathForWhere(const Table& table,
+                                       std::string_view effective_name,
+                                       const Expr* where);
+
+  /// UPDATE (`assignments` set) or DELETE (`assignments` null): collects
+  /// every matching row and its new image first, then applies them.
+  Result<ResultSet> ExecuteWrite(const TableRef& ref, const Expr* where,
+                                 const std::vector<Assignment>* assignments);
 
   /// Evaluates a scalar subquery: one column, at most one row; zero rows
   /// yield SQL NULL.

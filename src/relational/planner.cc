@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 
 #include "common/string_util.h"
@@ -57,13 +58,273 @@ std::string FormatEst(double est) {
   return std::to_string(static_cast<long long>(std::llround(est)));
 }
 
+/// A comparison `col op literal` on an indexed column of the table, the
+/// literal already coerced to the column's type and `op` mirrored when
+/// the literal was written on the left.
+struct IndexedBound {
+  const Expr* conjunct = nullptr;
+  const Index* index = nullptr;
+  std::string column;
+  BinaryOp op = BinaryOp::kEq;
+  Value literal;
+};
+
+BinaryOp Mirror(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kLt: return BinaryOp::kGt;
+    case BinaryOp::kLe: return BinaryOp::kGe;
+    case BinaryOp::kGt: return BinaryOp::kLt;
+    case BinaryOp::kGe: return BinaryOp::kLe;
+    default: return op;
+  }
+}
+
+std::optional<IndexedBound> AsIndexedBound(const Expr& conjunct,
+                                           const Table& table) {
+  if (conjunct.kind() != ExprKind::kBinary) return std::nullopt;
+  const auto& b = static_cast<const BinaryExpr&>(conjunct);
+  BinaryOp op = b.op();
+  if (op != BinaryOp::kEq && op != BinaryOp::kLt && op != BinaryOp::kLe &&
+      op != BinaryOp::kGt && op != BinaryOp::kGe) {
+    return std::nullopt;
+  }
+  const Expr* col = &b.left();
+  const Expr* lit = &b.right();
+  if (col->kind() != ExprKind::kColumnRef) {
+    std::swap(col, lit);
+    op = Mirror(op);
+  }
+  if (col->kind() != ExprKind::kColumnRef ||
+      lit->kind() != ExprKind::kLiteral) {
+    return std::nullopt;
+  }
+  const auto& ref = static_cast<const ColumnRefExpr&>(*col);
+  const Value& literal = static_cast<const LiteralExpr&>(*lit).value();
+  if (literal.is_null()) return std::nullopt;  // never TRUE
+  const Index* index = table.FindIndexOnColumn(ref.name());
+  if (index == nullptr) return std::nullopt;
+  Result<Value> coerced =
+      literal.CoerceTo(table.schema().column(index->column_index()).type);
+  if (!coerced.ok()) return std::nullopt;
+  // Value::Compare orders numbers as doubles, exact on integers only
+  // below 2^53. Past that the predicate and the B+-tree's exact integer
+  // key order disagree, so such a key is no bound.
+  constexpr int64_t kExactInDouble = int64_t{1} << 53;
+  if (coerced->is_integer() && (coerced->AsInteger() >= kExactInDouble ||
+                                coerced->AsInteger() <= -kExactInDouble)) {
+    return std::nullopt;
+  }
+  return IndexedBound{&conjunct, index, ToLower(ref.name()), op,
+                      *std::move(coerced)};
+}
+
+/// Operand classes of ExprEvaluator's type checks; kNull is the NULL
+/// literal (and a NULL-typed column), which every check accepts.
+enum class TypeClass { kNull, kNumber, kText, kBoolean };
+
+TypeClass ClassOf(Type type) {
+  switch (type) {
+    case Type::kInteger:
+    case Type::kReal: return TypeClass::kNumber;
+    case Type::kText: return TypeClass::kText;
+    case Type::kBoolean: return TypeClass::kBoolean;
+    case Type::kNull: break;
+  }
+  return TypeClass::kNull;
+}
+
+/// The class `e` evaluates to when evaluating it on a row of `table`
+/// (named `effective_name`) can never fail, else nullopt. Mirrors the
+/// evaluator's checks: comparisons, IN and BETWEEN need comparable
+/// operands, AND/OR/NOT booleans, arithmetic and unary minus numbers,
+/// LIKE text. Division (by zero), function calls, scalar subqueries and
+/// columns outside the table count as fallible. Stored values always
+/// have their column's type, so the check holds for every row.
+std::optional<TypeClass> InfallibleClass(const Expr& e, const Table& table,
+                                         std::string_view effective_name) {
+  auto sub = [&](const Expr& x) {
+    return InfallibleClass(x, table, effective_name);
+  };
+  auto is = [](std::optional<TypeClass> t, TypeClass want) {
+    return t.has_value() && (*t == want || *t == TypeClass::kNull);
+  };
+  auto comparable = [](std::optional<TypeClass> a,
+                       std::optional<TypeClass> b) {
+    return a.has_value() && b.has_value() &&
+           (*a == TypeClass::kNull || *b == TypeClass::kNull || *a == *b);
+  };
+  constexpr std::optional<TypeClass> kFallible;
+  switch (e.kind()) {
+    case ExprKind::kLiteral:
+      return ClassOf(static_cast<const LiteralExpr&>(e).value().type());
+    case ExprKind::kColumnRef: {
+      const auto& ref = static_cast<const ColumnRefExpr&>(e);
+      if (!ref.qualifier().empty() &&
+          !EqualsIgnoreCase(ref.qualifier(), effective_name)) {
+        return kFallible;
+      }
+      auto idx = FindColumnOf(table.schema(), ref.name());
+      if (!idx.has_value()) return kFallible;
+      return ClassOf(table.schema().column(*idx).type);
+    }
+    case ExprKind::kUnary: {
+      const auto& u = static_cast<const UnaryExpr&>(e);
+      auto operand = sub(u.operand());
+      switch (u.op()) {
+        case UnaryOp::kIsNull:
+        case UnaryOp::kIsNotNull:
+          if (operand.has_value()) return TypeClass::kBoolean;
+          return kFallible;
+        case UnaryOp::kNot:
+          if (is(operand, TypeClass::kBoolean)) return TypeClass::kBoolean;
+          return kFallible;
+        case UnaryOp::kNegate:
+          if (is(operand, TypeClass::kNumber)) return TypeClass::kNumber;
+          return kFallible;
+      }
+      return kFallible;
+    }
+    case ExprKind::kBinary: {
+      const auto& b = static_cast<const BinaryExpr&>(e);
+      auto l = sub(b.left());
+      auto r = sub(b.right());
+      switch (b.op()) {
+        case BinaryOp::kAnd:
+        case BinaryOp::kOr:
+          if (is(l, TypeClass::kBoolean) && is(r, TypeClass::kBoolean)) {
+            return TypeClass::kBoolean;
+          }
+          return kFallible;
+        case BinaryOp::kEq:
+        case BinaryOp::kNe:
+        case BinaryOp::kLt:
+        case BinaryOp::kLe:
+        case BinaryOp::kGt:
+        case BinaryOp::kGe:
+          if (comparable(l, r)) return TypeClass::kBoolean;
+          return kFallible;
+        case BinaryOp::kAdd:
+        case BinaryOp::kSub:
+        case BinaryOp::kMul:
+          if (is(l, TypeClass::kNumber) && is(r, TypeClass::kNumber)) {
+            return TypeClass::kNumber;
+          }
+          return kFallible;
+        case BinaryOp::kLike:
+          if (is(l, TypeClass::kText) && is(r, TypeClass::kText)) {
+            return TypeClass::kBoolean;
+          }
+          return kFallible;
+        default:
+          return kFallible;
+      }
+    }
+    case ExprKind::kInList: {
+      const auto& in = static_cast<const InListExpr&>(e);
+      auto operand = sub(in.operand());
+      for (const auto& item : in.list()) {
+        if (!comparable(operand, sub(*item))) return kFallible;
+      }
+      if (!operand.has_value()) return kFallible;
+      return TypeClass::kBoolean;
+    }
+    case ExprKind::kBetween: {
+      const auto& bt = static_cast<const BetweenExpr&>(e);
+      auto operand = sub(bt.operand());
+      if (comparable(operand, sub(bt.lo())) &&
+          comparable(operand, sub(bt.hi()))) {
+        return TypeClass::kBoolean;
+      }
+      return kFallible;
+    }
+    default:
+      return kFallible;
+  }
+}
+
+/// A strict bound on an INTEGER column as the inclusive one it equals
+/// (`> 4` is `>= 5`); other types keep the value, over-fetching the
+/// boundary key for the re-evaluated filter to drop.
+Value InclusiveBound(const IndexedBound& bound) {
+  const Value& v = bound.literal;
+  if (!v.is_integer()) return v;
+  if (bound.op == BinaryOp::kGt &&
+      v.AsInteger() < std::numeric_limits<int64_t>::max()) {
+    return Value::Integer(v.AsInteger() + 1);
+  }
+  if (bound.op == BinaryOp::kLt &&
+      v.AsInteger() > std::numeric_limits<int64_t>::min()) {
+    return Value::Integer(v.AsInteger() - 1);
+  }
+  return v;
+}
+
 }  // namespace
 
-const PlannedProbe* SelectPlan::ProbeFor(size_t source) const {
-  for (const auto& p : probes) {
-    if (p.source == source) return &p;
+std::string AccessPath::Explain() const {
+  switch (kind) {
+    case Kind::kScan:
+      return "scan";
+    case Kind::kEqual:
+      return "index probe " + index_name + " [" + column + " = " +
+             key.ToSqlLiteral() + "]";
+    case Kind::kRange: {
+      std::string bounds;
+      if (!lo.is_null()) bounds = column + " >= " + lo.ToSqlLiteral();
+      if (!hi.is_null()) {
+        if (!bounds.empty()) bounds += " AND ";
+        bounds += column + " <= " + hi.ToSqlLiteral();
+      }
+      return "index range " + index_name + " [" + bounds + "]";
+    }
   }
-  return nullptr;
+  return "scan";
+}
+
+AccessPath ChooseAccessPath(const std::vector<const Expr*>& conjuncts,
+                            const Table& table,
+                            std::string_view effective_name) {
+  AccessPath path;
+  std::vector<IndexedBound> bounds;
+  for (const Expr* c : conjuncts) {
+    // A conjunct that may fail forces a scan: a probe would evaluate
+    // it on fewer rows and could miss the error a scan raises.
+    auto type = InfallibleClass(*c, table, effective_name);
+    if (!type.has_value() || (*type != TypeClass::kBoolean &&
+                              *type != TypeClass::kNull)) {
+      return path;
+    }
+    if (auto bound = AsIndexedBound(*c, table)) {
+      bounds.push_back(*std::move(bound));
+    }
+  }
+  if (bounds.empty()) return path;
+  auto equal = std::find_if(bounds.begin(), bounds.end(), [](const auto& b) {
+    return b.op == BinaryOp::kEq;
+  });
+  const IndexedBound& chosen = equal != bounds.end() ? *equal : bounds[0];
+  path.index = chosen.index;
+  path.index_name = chosen.index->name();
+  path.column = chosen.column;
+  if (chosen.op == BinaryOp::kEq) {
+    path.kind = AccessPath::Kind::kEqual;
+    path.key = chosen.literal;
+    path.conjunct = chosen.conjunct;
+    return path;
+  }
+  // Intersect every bound on the chosen index: the highest lower bound
+  // and the lowest upper bound.
+  path.kind = AccessPath::Kind::kRange;
+  for (const IndexedBound& b : bounds) {
+    if (b.index != path.index) continue;
+    Value v = InclusiveBound(b);
+    if (b.op == BinaryOp::kGt || b.op == BinaryOp::kGe) {
+      if (path.lo.is_null() || v.Compare(path.lo) > 0) path.lo = std::move(v);
+    } else if (path.hi.is_null() || v.Compare(path.hi) < 0) {
+      path.hi = std::move(v);
+    }
+  }
+  return path;
 }
 
 std::string SelectPlan::Explain() const {
@@ -76,12 +337,7 @@ std::string SelectPlan::Explain() const {
                     " equi-join key(s)\n";
   for (size_t i = 0; i < num_sources(); ++i) {
     out += "  source " + std::to_string(i) + " (" + source_names[i] + "): ";
-    if (const PlannedProbe* probe = ProbeFor(i)) {
-      out += "index probe " + probe->index_name + " [" + probe->column +
-             " = " + probe->key.ToSqlLiteral() + "]";
-    } else {
-      out += "scan";
-    }
+    out += access[i].Explain();
     for (const auto& f : filters) {
       if (f.source == i) out += "; filter " + f.conjunct->ToSql();
     }
@@ -196,47 +452,30 @@ Result<SelectPlan> PlanSelect(const SelectStmt& stmt,
     }
   }
 
-  // -- Index probe selection ---------------------------------------------
-  // First pushed `col = literal` conjunct per base table whose column is
-  // indexed. A NULL literal never matches under SQL `=`, so it stays a
-  // plain filter (which rejects every row) instead of becoming a probe
-  // (which would wrongly return NULL-keyed rows).
+  // -- Access paths -------------------------------------------------------
+  // Each base table's path comes from its own pushed conjuncts. An
+  // equality probe consumes its conjunct; range conjuncts stay filters.
+  plan.access.assign(sources.size(), AccessPath{});
   for (size_t i = 0; i < sources.size(); ++i) {
     if (sources[i].table == nullptr) continue;
-    for (auto it = plan.filters.begin(); it != plan.filters.end(); ++it) {
-      if (it->source != i || it->conjunct->kind() != ExprKind::kBinary) {
-        continue;
-      }
-      const auto& b = static_cast<const BinaryExpr&>(*it->conjunct);
-      if (b.op() != BinaryOp::kEq) continue;
-      const Expr* col = &b.left();
-      const Expr* lit = &b.right();
-      if (col->kind() != ExprKind::kColumnRef) std::swap(col, lit);
-      if (col->kind() != ExprKind::kColumnRef ||
-          lit->kind() != ExprKind::kLiteral) {
-        continue;
-      }
-      const auto& ref = static_cast<const ColumnRefExpr&>(*col);
-      const Value& key = static_cast<const LiteralExpr&>(*lit).value();
-      if (key.is_null()) continue;
-      const Index* index = sources[i].table->FindIndexOnColumn(ref.name());
-      if (index == nullptr) continue;
-      PlannedProbe probe;
-      probe.source = i;
-      probe.index = index;
-      probe.index_name = index->name();
-      probe.column = ToLower(ref.name());
-      probe.key = key;
-      probe.conjunct = it->conjunct;
-      plan.probes.push_back(std::move(probe));
+    std::vector<const Expr*> pushed;
+    for (const auto& f : plan.filters) {
+      if (f.source == i) pushed.push_back(f.conjunct);
+    }
+    AccessPath& path = plan.access[i];
+    path = ChooseAccessPath(pushed, *sources[i].table,
+                            sources[i].effective_name);
+    if (path.kind == AccessPath::Kind::kEqual) {
+      std::erase_if(plan.filters, [&](const PushedFilter& f) {
+        return f.conjunct == path.conjunct;
+      });
       --plan.pushed_conjuncts;
-      plan.filters.erase(it);
-      break;
     }
   }
 
   // -- Cardinality estimates ---------------------------------------------
-  // Textbook selectivities: a probe yields rows/distinct-keys, a pushed
+  // Textbook selectivities: an equality probe yields rows/distinct-keys
+  // (a range probe's conjuncts are still filters, counted below), a pushed
   // equality keeps 1/10, any other pushed filter 1/3. Estimates are
   // clamped to >= 1 row post-filter: an empty or heavily filtered source
   // still pays per-step bookkeeping and must never look cost-free, or
@@ -245,8 +484,10 @@ Result<SelectPlan> PlanSelect(const SelectStmt& stmt,
   plan.estimated_rows.assign(sources.size(), 0.0);
   for (size_t i = 0; i < sources.size(); ++i) {
     double est = static_cast<double>(sources[i].row_count);
-    if (const PlannedProbe* probe = plan.ProbeFor(i)) {
-      est /= static_cast<double>(std::max<size_t>(1, probe->index->distinct_keys()));
+    const AccessPath& path = plan.access[i];
+    if (path.kind == AccessPath::Kind::kEqual) {
+      est /= static_cast<double>(
+          std::max<size_t>(1, path.index->distinct_keys()));
     }
     for (const auto& f : plan.filters) {
       if (f.source != i) continue;

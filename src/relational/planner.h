@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -34,18 +35,59 @@ struct PushedFilter {
   const Expr* conjunct = nullptr;
 };
 
-/// Index access path chosen for one source: fetch only the rows whose
-/// indexed column equals `key` instead of scanning. The probe conjunct
-/// is consumed — index lookup and predicate agree on Value::Compare
-/// equality, so re-evaluating it would be redundant.
-struct PlannedProbe {
-  size_t source = 0;
+/// How one base table's rows are fetched. Chosen by ChooseAccessPath
+/// for SELECT sources, the naive single-table path and UPDATE/DELETE
+/// alike, so every statement kind reads a table the same way.
+///   - kScan: every live row, in RowId order.
+///   - kEqual: the rows whose indexed column equals `key`. The equality
+///     conjunct is consumed by the SELECT planner — lookup and predicate
+///     agree on Value::Compare equality, so re-evaluating it would be
+///     redundant.
+///   - kRange: the rows whose indexed column lies in the inclusive
+///     [`lo`, `hi`]; a NULL end is unbounded. The range conjuncts stay
+///     filters and are re-evaluated on every fetched row, so a bound
+///     that over-fetches never changes a result.
+/// A probe fetches RowIds in ascending order, so it yields rows in the
+/// order a scan would.
+struct AccessPath {
+  enum class Kind { kScan, kEqual, kRange };
+  Kind kind = Kind::kScan;
   const Index* index = nullptr;
   std::string index_name;
   std::string column;
-  Value key;
-  const Expr* conjunct = nullptr;
+  Value key;                       // kEqual
+  Value lo, hi;                    // kRange
+  const Expr* conjunct = nullptr;  // kEqual: the consumed conjunct
+
+  bool is_probe() const { return kind != Kind::kScan; }
+
+  /// "scan", "index probe <idx> [<col> = <key>]" or
+  /// "index range <idx> [<col> >= <lo> AND <col> <= <hi>]" (an
+  /// unbounded end is left out).
+  std::string Explain() const;
 };
+
+/// Picks the access path for `table` (named `effective_name` in the
+/// statement) from a statement's top-level AND conjuncts:
+///   - the first `col = literal` (either operand order) on an indexed
+///     column becomes an equality probe;
+///   - else the `<`, `<=`, `>`, `>=` bounds against literals on the
+///     first bounded indexed column merge into one inclusive range
+///     (strict bounds on INTEGER columns tighten by one);
+///   - else the table is scanned.
+/// A NULL literal never probes (`= NULL` is never TRUE), and neither
+/// does a literal that does not coerce losslessly to the column type
+/// (Value::CoerceTo, e.g. `id >= 2.5` on INTEGER) or an INTEGER key of
+/// magnitude >= 2^53 (Value::Compare compares numbers as doubles), so
+/// the scan and its predicate decide. A conjunct that could fail to
+/// evaluate on some row — mismatched operand types (`id = '7'`,
+/// `grp > 3` on TEXT), division, a function call, a scalar subquery, a
+/// column outside the table — makes the whole choice a scan: a probe
+/// evaluates the WHERE on fewer rows and could miss an error the scan
+/// raises. Pure analysis — no locks, no data access.
+AccessPath ChooseAccessPath(const std::vector<const Expr*>& conjuncts,
+                            const Table& table,
+                            std::string_view effective_name);
 
 /// One step of the join pipeline: bring `source` into the joined prefix.
 /// With equi-keys the step is a build/probe hash join (build side = the
@@ -74,7 +116,7 @@ struct SelectPlan {
   std::vector<double> estimated_rows;  // per source, after pushed filters
 
   std::vector<PushedFilter> filters;
-  std::vector<PlannedProbe> probes;  // at most one per source
+  std::vector<AccessPath> access;  // per source; views always scan
   std::vector<JoinStep> steps;       // steps[0] seeds the pipeline
   /// Conjuncts only decidable on the fully joined row: scalar
   /// subqueries, aggregates-free expressions spanning no resolvable
@@ -91,7 +133,6 @@ struct SelectPlan {
   std::string fallback_reason;
 
   size_t num_sources() const { return source_names.size(); }
-  const PlannedProbe* ProbeFor(size_t source) const;
 
   /// Deterministic human-readable rendering (the `\plan` / EXPLAIN
   /// text). Stable across runs for golden tests.
@@ -100,11 +141,12 @@ struct SelectPlan {
 
 /// Rewrites a SELECT into a physical plan: splits the WHERE into
 /// top-level AND conjuncts, pushes single-source conjuncts below the
-/// join, selects per-source index probes from pushed `col = literal`
-/// conjuncts, turns two-source `a.x = b.y` conjuncts into hash-join
-/// keys, and orders joins greedily by estimated cardinality (smallest
-/// estimated source first, preferring sources hash-connected to the
-/// joined prefix). Pure analysis — no locks, no data access.
+/// join, chooses each base table's access path from its pushed
+/// conjuncts (ChooseAccessPath), turns two-source `a.x = b.y` conjuncts
+/// into hash-join keys, and orders joins greedily by estimated
+/// cardinality (smallest estimated source first, preferring sources
+/// hash-connected to the joined prefix). Pure analysis — no locks, no
+/// data access.
 Result<SelectPlan> PlanSelect(const SelectStmt& stmt,
                               const std::vector<PlannerSource>& sources);
 

@@ -30,6 +30,7 @@ void AppendU64(std::string* out, uint64_t v) {
 /// of negatives, flip only the sign bit of non-negatives, then compare
 /// as unsigned.
 uint64_t OrderedDoubleBits(double d) {
+  if (d == 0.0) d = 0.0;  // -0.0 and 0.0 compare equal, so encode alike
   uint64_t bits;
   std::memcpy(&bits, &d, sizeof(bits));
   if (bits & (uint64_t{1} << 63)) return ~bits;

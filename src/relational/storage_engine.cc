@@ -245,6 +245,31 @@ Result<std::vector<RowId>> BtreeIndex::LookupIds(const Value& key) const {
   return ids;
 }
 
+Result<std::vector<RowId>> BtreeIndex::LookupRange(const Value& lo,
+                                                   const Value& hi) const {
+  // NULL keys encode as 0x00 and every other type tag is in 0x01..0x04,
+  // so "\x01" and "\xff" bracket all non-NULL keys of the column.
+  std::string lo_key = "\x01";
+  std::string hi_key = "\xff";
+  if (!lo.is_null()) {
+    MSQL_ASSIGN_OR_RETURN(Value bound, lo.CoerceTo(column_type_));
+    lo_key = EncodeIndexKey(bound);
+  }
+  if (!hi.is_null()) {
+    MSQL_ASSIGN_OR_RETURN(Value bound, hi.CoerceTo(column_type_));
+    hi_key = PrefixHi(EncodeIndexKey(bound));
+  }
+  std::vector<RowId> ids;
+  if (lo_key > hi_key) return ids;
+  MSQL_RETURN_IF_ERROR(
+      tree_->ScanRange(lo_key, hi_key, [&](std::string_view entry) {
+        ids.push_back(DecodeIndexEntryRowId(entry));
+        return true;
+      }));
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
 // -- StorageManager ----------------------------------------------------------
 
 StorageManager::StorageManager(StorageConfig config)

@@ -97,6 +97,9 @@ class BtreeIndex : public Index {
   Status Insert(const Value& key, RowId id) override;
   Status Erase(const Value& key, RowId id) override;
   Result<std::vector<RowId>> LookupIds(const Value& key) const override;
+  /// One B+-tree ScanRange over the order-preserving key encodings.
+  Result<std::vector<RowId>> LookupRange(const Value& lo,
+                                         const Value& hi) const override;
   size_t distinct_keys() const override { return distinct_; }
 
  private:

@@ -129,9 +129,16 @@ Result<Value> Value::CoerceTo(Type target) const {
   if (target == Type::kInteger && is_real()) {
     double v = AsReal();
     double rounded = std::nearbyint(v);
-    if (rounded == v) return Value::Integer(static_cast<int64_t>(v));
-    return Status::InvalidArgument("cannot store non-integral REAL " +
-                                   ToSqlLiteral() + " into INTEGER column");
+    if (rounded != v) {
+      return Status::InvalidArgument("cannot store non-integral REAL " +
+                                     ToSqlLiteral() + " into INTEGER column");
+    }
+    // INTEGER holds [-2^63, 2^63); casting a REAL outside it is undefined.
+    if (v < -0x1p63 || v >= 0x1p63) {
+      return Status::InvalidArgument("cannot store out-of-range REAL " +
+                                     ToSqlLiteral() + " into INTEGER column");
+    }
+    return Value::Integer(static_cast<int64_t>(v));
   }
   return Status::InvalidArgument(
       std::string("cannot coerce ") + std::string(TypeName(type())) +

@@ -1,10 +1,11 @@
 # bench_check: schema-validates the committed bench baselines under
 # bench/baselines/ and — when a bench has been re-run in this build tree
 # (a fresh BENCH_*.json under ${BINARY_DIR}/bench) — compares its
-# deterministic simulated-clock metrics against the baseline, failing on
-# a >25% regression. Wall-clock metrics are never compared (host time is
-# noisy); every compared metric lives on the netsim clock and is exact
-# for a fixed seed. Baselines are the benches' `--quick` outputs;
+# deterministic metrics against the baseline, failing on a >25%
+# regression. Wall-clock metrics are never compared (host time is
+# noisy); every compared metric is a simulated-clock figure or a work
+# counter (page reads, pin hits, WAL appends) and is exact for a fixed
+# seed. Baselines are the benches' `--quick` outputs;
 # comparisons are guarded on the workload-scale fields, so a full-scale
 # re-run simply skips entries whose scale differs from the baseline.
 #
@@ -160,6 +161,7 @@ if(base)
   require(BENCH_storage.json "${base}" page_reads)
   require(BENCH_storage.json "${base}" page_writes)
   require(BENCH_storage.json "${base}" wal_appends)
+  require(BENCH_storage.json "${base}" pin_hits)
   require(BENCH_storage.json "${base}" recovered)
   if(fresh)
     set(skip FALSE)
@@ -169,6 +171,7 @@ if(base)
       compare(BENCH_storage.json "${base}" "${fresh}" page_reads)
       compare(BENCH_storage.json "${base}" "${fresh}" page_writes)
       compare(BENCH_storage.json "${base}" "${fresh}" wal_appends)
+      compare(BENCH_storage.json "${base}" "${fresh}" pin_hits)
     endif()
   endif()
 endif()

@@ -2,7 +2,12 @@
 // transactions, the executor's access-path selection, and DDL undo.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "relational/engine.h"
 #include "relational/index.h"
@@ -79,9 +84,10 @@ TEST_F(IndexTest, ProbeWorksWithExtraConjunctsAndReversedOperands) {
   }
 }
 
-TEST_F(IndexTest, NonEqualityStillScansButJoinsProbe) {
+TEST_F(IndexTest, RangeProbesAndJoinsProbe) {
   Exec("CREATE INDEX idx_id ON t (id)");
-  EXPECT_EQ(Exec("SELECT id FROM t WHERE id > 47").rows_scanned, 50);
+  // `id > 47` on INTEGER is the inclusive range [48, +inf): two rows.
+  EXPECT_EQ(Exec("SELECT id FROM t WHERE id > 47").rows_scanned, 2);
   // Multi-table FROM probes too since the planner pushes `col = literal`
   // conjuncts to their source (the old executor scanned 100 rows here).
   EXPECT_EQ(
@@ -152,6 +158,167 @@ TEST_F(IndexTest, IndexStructureDirectly) {
   // Cross-numeric keys compare like values: 2 == 2.0.
   EXPECT_NE(index.Lookup(Value::Real(2.0)), nullptr);
 }
+
+TEST_F(IndexTest, PointWritesProbeAndCountFetchedRows) {
+  Exec("CREATE INDEX idx_id ON t (id)");
+  ResultSet updated = Exec("UPDATE t SET v = 0.0 WHERE id = 7");
+  EXPECT_EQ(updated.rows_affected, 1);
+  EXPECT_EQ(updated.rows_scanned, 1);
+  ResultSet deleted = Exec("DELETE FROM t WHERE id >= 40 AND id < 45");
+  EXPECT_EQ(deleted.rows_affected, 5);
+  EXPECT_EQ(deleted.rows_scanned, 5);
+  // Without a usable bound the statement scans and reports the live rows
+  // left after it, as before.
+  ResultSet scanned = Exec("DELETE FROM t WHERE v = 0.0");
+  EXPECT_EQ(scanned.rows_affected, 1);
+  EXPECT_EQ(scanned.rows_scanned, 44);
+}
+
+TEST_F(IndexTest, SetOnIndexedColumnSeesPreStatementRows) {
+  Exec("CREATE INDEX idx_id ON t (id)");
+  // Both phases: every new image is computed before any is applied, so
+  // rows moved up by the SET are not fetched again.
+  ResultSet rs = Exec("UPDATE t SET id = id + 1 WHERE id >= 10 AND id <= 12");
+  EXPECT_EQ(rs.rows_affected, 3);
+  EXPECT_EQ(Exec("SELECT id FROM t WHERE id >= 10 AND id <= 13").rows.size(),
+            4u);
+  EXPECT_EQ(Exec("SELECT id FROM t WHERE id = 10").rows.size(), 0u);
+}
+
+// LookupRange on both index implementations: the std::map one of an
+// in-memory table and the B+-tree of a paged table.
+class IndexRangeTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    engine_ = std::make_unique<LocalEngine>(
+        "svc", CapabilityProfile::IngresLike());
+    if (GetParam()) {
+      root_ = std::filesystem::temp_directory_path() /
+              ("msql_index_range_" + std::to_string(::getpid()) + "_" +
+               ::testing::UnitTest::GetInstance()->current_test_info()->name());
+      std::filesystem::remove_all(root_);
+      StorageConfig config;
+      config.root_dir = root_.string();
+      config.buffer_pool_pages = 16;
+      ASSERT_TRUE(engine_->AttachStorage(config).ok());
+    }
+    ASSERT_TRUE(engine_->CreateDatabase("db").ok());
+    session_ = *engine_->OpenSession("db");
+  }
+  void TearDown() override {
+    engine_.reset();
+    if (!root_.empty()) std::filesystem::remove_all(root_);
+  }
+
+  void Exec(std::string_view sql) {
+    auto result = engine_->Execute(session_, sql);
+    ASSERT_TRUE(result.ok()) << sql << " -> " << result.status();
+  }
+
+  /// Table k (key <type>) with `keys` inserted in order (RowId i holds
+  /// keys[i]) and an index on key.
+  const Index* Load(const std::string& type,
+                    const std::vector<std::string>& keys) {
+    Exec("CREATE TABLE k (key " + type + ")");
+    for (const auto& key : keys) Exec("INSERT INTO k VALUES (" + key + ")");
+    Exec("CREATE INDEX k_key ON k (key)");
+    auto db = engine_->GetDatabase("db");
+    const Table* table = *(*db)->GetTableConst("k");
+    EXPECT_EQ(table->paged(), GetParam());
+    return table->FindIndexOnColumn("key");
+  }
+
+  static std::vector<RowId> Range(const Index* index, const Value& lo,
+                                  const Value& hi) {
+    auto ids = index->LookupRange(lo, hi);
+    EXPECT_TRUE(ids.ok()) << ids.status();
+    return ids.ok() ? *ids : std::vector<RowId>{};
+  }
+
+  std::unique_ptr<LocalEngine> engine_;
+  SessionId session_ = 0;
+  std::filesystem::path root_;
+};
+
+using Ids = std::vector<RowId>;
+const Value kUnbounded = Value::Null_();
+
+TEST_P(IndexRangeTest, NegativeIntegersOrderAcrossTheSignBit) {
+  const Index* index = Load("INTEGER", {"3", "-1", "0", "-7", "5", "-2"});
+  ASSERT_NE(index, nullptr);
+  EXPECT_EQ(Range(index, Value::Integer(-2), Value::Integer(0)),
+            (Ids{1, 2, 5}));
+  EXPECT_EQ(Range(index, Value::Integer(-100), Value::Integer(-3)), (Ids{3}));
+  EXPECT_EQ(Range(index, Value::Integer(-1), Value::Integer(4)),
+            (Ids{0, 1, 2}));
+}
+
+TEST_P(IndexRangeTest, OneSidedBounds) {
+  const Index* index = Load("INTEGER", {"3", "-1", "0", "-7", "5", "-2"});
+  ASSERT_NE(index, nullptr);
+  EXPECT_EQ(Range(index, Value::Integer(0), kUnbounded), (Ids{0, 2, 4}));
+  EXPECT_EQ(Range(index, kUnbounded, Value::Integer(-1)), (Ids{1, 3, 5}));
+  EXPECT_EQ(Range(index, kUnbounded, kUnbounded), (Ids{0, 1, 2, 3, 4, 5}));
+}
+
+TEST_P(IndexRangeTest, RealKeysIncludingNegativeZero) {
+  const Index* index =
+      Load("REAL", {"2.25", "-1.5", "0.0", "-0.0", "3.5", "-0.25"});
+  ASSERT_NE(index, nullptr);
+  // -0.0 compares equal to 0.0, so both fall inside either bound.
+  EXPECT_EQ(Range(index, Value::Real(0.0), Value::Real(3.0)), (Ids{0, 2, 3}));
+  EXPECT_EQ(Range(index, Value::Real(-1.0), Value::Real(0.0)),
+            (Ids{2, 3, 5}));
+  EXPECT_EQ(Range(index, Value::Real(-2.0), Value::Real(-1.5)), (Ids{1}));
+  auto zeros = index->LookupIds(Value::Real(0.0));
+  ASSERT_TRUE(zeros.ok());
+  EXPECT_EQ(*zeros, (Ids{2, 3}));
+}
+
+TEST_P(IndexRangeTest, TextKeysWhereOneIsAPrefixOfAnother) {
+  const Index* index =
+      Load("TEXT", {"'abc'", "'ab'", "'b'", "'a'", "'abd'", "'ab c'"});
+  ASSERT_NE(index, nullptr);
+  EXPECT_EQ(Range(index, Value::Text("ab"), Value::Text("ab")), (Ids{1}));
+  EXPECT_EQ(Range(index, Value::Text("ab"), Value::Text("abc")),
+            (Ids{0, 1, 5}));
+  EXPECT_EQ(Range(index, Value::Text("a"), Value::Text("ab")), (Ids{1, 3}));
+  EXPECT_EQ(Range(index, Value::Text("abc"), kUnbounded), (Ids{0, 2, 4}));
+}
+
+TEST_P(IndexRangeTest, NullKeysAreNeverReturned) {
+  const Index* index = Load("INTEGER", {"NULL", "4", "NULL", "-9", "0"});
+  ASSERT_NE(index, nullptr);
+  EXPECT_EQ(Range(index, kUnbounded, kUnbounded), (Ids{1, 3, 4}));
+  EXPECT_EQ(Range(index, kUnbounded, Value::Integer(0)), (Ids{3, 4}));
+  EXPECT_EQ(Range(index, Value::Integer(-9), kUnbounded), (Ids{1, 3, 4}));
+}
+
+TEST_P(IndexRangeTest, EmptyRanges) {
+  const Index* index = Load("INTEGER", {"1", "5", "9"});
+  ASSERT_NE(index, nullptr);
+  EXPECT_TRUE(Range(index, Value::Integer(2), Value::Integer(4)).empty());
+  EXPECT_TRUE(Range(index, Value::Integer(6), Value::Integer(2)).empty());
+  EXPECT_TRUE(Range(index, Value::Integer(10), kUnbounded).empty());
+  EXPECT_TRUE(Range(index, kUnbounded, Value::Integer(0)).empty());
+}
+
+TEST_P(IndexRangeTest, FetchesAreAscendingAfterSlotReuse) {
+  const Index* index = Load("INTEGER", {"7", "7", "3", "7"});
+  ASSERT_NE(index, nullptr);
+  Exec("DELETE FROM k WHERE key = 3");
+  Exec("INSERT INTO k VALUES (7)");  // reuses slot 2
+  auto equal = index->LookupIds(Value::Integer(7));
+  ASSERT_TRUE(equal.ok());
+  EXPECT_EQ(*equal, (Ids{0, 1, 2, 3}));
+  EXPECT_EQ(Range(index, Value::Integer(0), Value::Integer(9)),
+            (Ids{0, 1, 2, 3}));
+}
+
+INSTANTIATE_TEST_SUITE_P(BothIndexes, IndexRangeTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Btree" : "Map";
+                         });
 
 }  // namespace
 }  // namespace msql::relational

@@ -1,10 +1,9 @@
 // Differential property test for the local planner: randomized schemas,
 // data and queries run on two identically-seeded engines — one with the
 // planner (pushdown, probes, hash joins), one on the naive
-// cross-product oracle. Every query must produce the identical row
-// multiset (compared after a deterministic sort, since index probes may
-// reorder unsorted output), and the two paths must agree on whether the
-// query succeeds at all.
+// cross-product oracle. Every query must produce identical rows in
+// identical order, and the two paths must agree on whether the query
+// succeeds at all.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -158,10 +157,9 @@ TEST(PlannerDiffTest, PlannedAndNaivePathsAgreeOnRandomizedWorkload) {
           << "seed " << seed << ": " << sql << "\nplanned: "
           << planned.status() << "\nnaive: " << naive.status();
       if (!planned.ok()) continue;
-      // Compare as multisets: index probes may legitimately reorder
-      // output that the query does not ORDER.
-      planned->SortRows();
-      naive->SortRows();
+      // Row for row, in order: probes fetch in RowId order and the join
+      // restores the naive odometer order, so even output the query
+      // does not ORDER must match.
       EXPECT_EQ(*planned, *naive) << "seed " << seed << ": " << sql;
     }
   }

@@ -280,11 +280,110 @@ TEST_F(PlannerTest, FallbackErrorsMatchNaiveErrors) {
   EXPECT_EQ(planned.status().ToString(), naive.status().ToString());
 }
 
-TEST_F(PlannerTest, ExplainRequiresSelect) {
+TEST_F(PlannerTest, ExplainRefusesInsertAndDdl) {
   SeedFlights();
-  auto text = engine_->ExplainSql(session_, "DELETE FROM flights");
-  EXPECT_FALSE(text.ok());
-  EXPECT_EQ(text.status().code(), StatusCode::kInvalidArgument);
+  for (const char* sql : {"INSERT INTO flights VALUES (7, 'sfo', 1.0)",
+                          "CREATE INDEX idx_dep ON flights (dep)"}) {
+    auto text = engine_->ExplainSql(session_, sql);
+    EXPECT_FALSE(text.ok()) << sql;
+    EXPECT_EQ(text.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+}
+
+TEST_F(PlannerTest, GoldenExplainForRangeProbe) {
+  SeedFlights();
+  Exec("CREATE INDEX idx_fno ON flights (fno)");
+  // Strict INTEGER bounds tighten to inclusive ones, either operand
+  // order merges into one range, and the range conjuncts stay filters.
+  EXPECT_EQ(Explain("SELECT f.dep FROM flights f "
+                    "WHERE f.fno > 1 AND 5 > f.fno AND f.fno <= 9"),
+            "plan: 1 source(s), 3 pushed conjunct(s), 0 equi-join key(s)\n"
+            "  source 0 (f): index range idx_fno [fno >= 2 AND fno <= 4]; "
+            "filter f.fno > 1; filter 5 > f.fno; filter f.fno <= 9; "
+            "est 1 row(s)\n"
+            "join order:\n"
+            "  [0] start source 0 (f)\n");
+  // One-sided; a bound that does not coerce losslessly to INTEGER is
+  // not used.
+  EXPECT_EQ(Explain("SELECT dep FROM flights WHERE fno >= 2.5 AND fno < 4"),
+            "plan: 1 source(s), 2 pushed conjunct(s), 0 equi-join key(s)\n"
+            "  source 0 (flights): index range idx_fno [fno <= 3]; "
+            "filter fno >= 2.5; filter fno < 4; est 1 row(s)\n"
+            "join order:\n"
+            "  [0] start source 0 (flights)\n");
+  // Equality wins over a range; a NULL literal never probes.
+  EXPECT_EQ(Explain("SELECT dep FROM flights WHERE fno > 1 AND fno = 3.0"),
+            "plan: 1 source(s), 1 pushed conjunct(s), 0 equi-join key(s)\n"
+            "  source 0 (flights): index probe idx_fno [fno = 3]; "
+            "filter fno > 1; est 1 row(s)\n"
+            "join order:\n"
+            "  [0] start source 0 (flights)\n");
+  EXPECT_EQ(Explain("SELECT dep FROM flights WHERE fno = NULL"),
+            "plan: 1 source(s), 1 pushed conjunct(s), 0 equi-join key(s)\n"
+            "  source 0 (flights): scan; filter fno = NULL; est 1 row(s)\n"
+            "join order:\n"
+            "  [0] start source 0 (flights)\n");
+}
+
+TEST_F(PlannerTest, GoldenExplainForUpdateAndDelete) {
+  SeedFlights();
+  EXPECT_EQ(Explain("UPDATE flights SET price = price * 1.1 WHERE fno = 3"),
+            "plan: update flights: scan; filter fno = 3\n");
+  Exec("CREATE INDEX idx_fno ON flights (fno)");
+  EXPECT_EQ(Explain("UPDATE flights SET price = price * 1.1 WHERE fno = 3"),
+            "plan: update flights: index probe idx_fno [fno = 3]; "
+            "filter fno = 3\n");
+  EXPECT_EQ(Explain("DELETE FROM flights WHERE fno >= 2 AND dep = 'jfk'"),
+            "plan: delete flights: index range idx_fno [fno >= 2]; "
+            "filter fno >= 2 AND dep = 'jfk'\n");
+  EXPECT_EQ(Explain("DELETE FROM flights"), "plan: delete flights: scan\n");
+  // A WHERE naming a column outside the target scans, so the evaluator
+  // reports the error exactly as an unindexed table would.
+  EXPECT_EQ(Explain("DELETE FROM flights WHERE fno = 3 AND ghost = 1"),
+            "plan: delete flights: scan; filter fno = 3 AND ghost = 1\n");
+  // So does a conjunct that can fail on some row (TEXT vs INTEGER,
+  // division, a function call) in either position: a probe would skip
+  // the rows on which the scan raises it.
+  EXPECT_EQ(Explain("DELETE FROM flights WHERE dep > 3 AND fno = 3"),
+            "plan: delete flights: scan; filter dep > 3 AND fno = 3\n");
+  EXPECT_EQ(Explain("UPDATE flights SET price = 1.0 "
+                    "WHERE fno = 3 AND price / 0 > 1"),
+            "plan: update flights: scan; filter fno = 3 AND price / 0 > 1\n");
+  EXPECT_EQ(Explain("DELETE FROM flights WHERE fno = 3 AND LENGTH(dep) = 3"),
+            "plan: delete flights: scan; "
+            "filter fno = 3 AND LENGTH(dep) = 3\n");
+  // Well-typed conjuncts still probe.
+  EXPECT_EQ(Explain("DELETE FROM flights WHERE fno = 3 AND dep LIKE 'j%' "
+                    "AND price + 1 > 2 AND dep IN ('jfk', NULL)"),
+            "plan: delete flights: index probe idx_fno [fno = 3]; "
+            "filter fno = 3 AND dep LIKE 'j%' AND price + 1 > 2 AND "
+            "(dep IN ('jfk', NULL))\n");
+  // A REAL key past INTEGER's range, or an INTEGER key at or past 2^53
+  // where Value::Compare loses precision, is no bound.
+  EXPECT_EQ(Explain("DELETE FROM flights WHERE fno < 1e19"),
+            "plan: delete flights: scan; filter fno < 1e+19\n");
+  EXPECT_EQ(Explain("DELETE FROM flights WHERE fno = 9007199254740992"),
+            "plan: delete flights: scan; filter fno = 9007199254740992\n");
+  EXPECT_EQ(Explain("DELETE FROM flights WHERE fno >= -9007199254740991"),
+            "plan: delete flights: index range idx_fno "
+            "[fno >= -9007199254740991]; filter fno >= -9007199254740991\n");
+}
+
+TEST_F(PlannerTest, EveryProbeIsCounted) {
+  SeedFlights();
+  Exec("CREATE INDEX idx_fno ON flights (fno)");
+  obs::Tracer tracer;
+  obs::MetricsRegistry metrics;
+  metrics.set_enabled(true);
+  engine_->SetObservability(&tracer, &metrics);
+  Exec("SELECT dep FROM flights WHERE fno = 2");
+  Exec("SELECT COUNT(*) FROM flights WHERE fno >= 2 AND fno < 5");
+  Exec("UPDATE flights SET price = 1.0 WHERE fno = 4");
+  Exec("DELETE FROM flights WHERE fno > 5");
+  ExecNaive("SELECT dep FROM flights WHERE fno <= 2");
+  Exec("SELECT dep FROM flights WHERE dep = 'jfk'");  // scan: not counted
+  EXPECT_EQ(metrics.Get("sql.index_probes"), 5);
+  engine_->SetObservability(nullptr, nullptr);
 }
 
 TEST_F(PlannerTest, PlanTextTravelsWithResultWhenCollected) {

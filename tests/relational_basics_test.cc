@@ -1,6 +1,10 @@
 // Values, schemas, tables and result sets of the local engine substrate.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "relational/result_set.h"
 #include "relational/schema.h"
 #include "relational/table.h"
@@ -54,6 +58,16 @@ TEST(ValueTest, CoerceExactRealToInt) {
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok->AsInteger(), 5);
   EXPECT_FALSE(Value::Real(5.5).CoerceTo(Type::kInteger).ok());
+}
+
+TEST(ValueTest, CoerceRejectsRealOutsideIntegerRange) {
+  auto lowest = Value::Real(-0x1p63).CoerceTo(Type::kInteger);
+  ASSERT_TRUE(lowest.ok());
+  EXPECT_EQ(lowest->AsInteger(), std::numeric_limits<int64_t>::min());
+  EXPECT_FALSE(Value::Real(0x1p63).CoerceTo(Type::kInteger).ok());
+  EXPECT_FALSE(Value::Real(1e19).CoerceTo(Type::kInteger).ok());
+  EXPECT_FALSE(Value::Real(-1e19).CoerceTo(Type::kInteger).ok());
+  EXPECT_FALSE(Value::Real(HUGE_VAL).CoerceTo(Type::kInteger).ok());
 }
 
 TEST(ValueTest, CoerceRejectsCrossFamilies) {
