@@ -460,23 +460,32 @@ Status Expander::ExpandInto(const MsqlQuery& query,
     out->queries.push_back(std::move(eq));
   }
 
-  // Attach compensating actions.
+  // Attach compensating actions as the checker's HasComp counts them: a
+  // COMP naming a database covers every alias of it, and one naming an
+  // alias overrides that for its subquery. A later clause for the same
+  // name wins.
   for (const auto& comp : query.comps) {
-    bool attached = false;
-    for (auto& eq : out->queries) {
-      if (EqualsIgnoreCase(eq.effective_name, comp.database) ||
-          EqualsIgnoreCase(eq.database, comp.database)) {
-        eq.compensation = comp.action->Clone();
-        attached = true;
-        break;
-      }
+    bool named = false;
+    for (const auto& eq : out->queries) {
+      named = named || EqualsIgnoreCase(eq.effective_name, comp.database) ||
+              EqualsIgnoreCase(eq.database, comp.database);
     }
-    if (!attached) {
+    if (!named) {
       return ExpansionError(
           analysis::diag::kCompUnknownDatabase, comp.line, comp.column,
           static_cast<int>(comp.database.size()),
           "COMP clause names '" + comp.database +
               "', which has no subquery in this multiple query");
+    }
+  }
+  for (bool by_alias : {false, true}) {
+    for (const auto& comp : query.comps) {
+      for (auto& eq : out->queries) {
+        if (EqualsIgnoreCase(by_alias ? eq.effective_name : eq.database,
+                             comp.database)) {
+          eq.compensation = comp.action->Clone();
+        }
+      }
     }
   }
   return Status::OK();

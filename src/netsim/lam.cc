@@ -1,5 +1,6 @@
 #include "netsim/lam.h"
 
+#include <optional>
 #include <set>
 
 #include "common/string_util.h"
@@ -187,41 +188,50 @@ LamResponse Lam::Handle(const LamRequest& request, int64_t* service_micros) {
           break;
         }
         const relational::TableSchema& schema = (*table)->schema();
-        auto scanned = (*table)->ScanRows();
+        // One pass over the table feeds every column's accumulator.
+        struct ColumnStats {
+          std::set<std::string> distinct;
+          std::optional<relational::Value> min_v, max_v;
+          int64_t width_sum = 0;
+        };
+        std::vector<ColumnStats> stats(schema.columns().size());
+        int64_t row_count = 0;
+        Status scanned = (*table)->Scan(
+            [&](relational::RowId, relational::Row row) -> Status {
+              ++row_count;
+              for (size_t c = 0; c < stats.size(); ++c) {
+                ColumnStats& col = stats[c];
+                const relational::Value& v = row[c];
+                col.width_sum +=
+                    static_cast<int64_t>(v.ToDisplayString().size()) + 4;
+                if (v.is_null()) continue;
+                col.distinct.insert(v.ToSqlLiteral());
+                if (!col.min_v || v.Compare(*col.min_v) < 0) col.min_v = v;
+                if (!col.max_v || v.Compare(*col.max_v) > 0) col.max_v = v;
+              }
+              return Status::OK();
+            });
         if (!scanned.ok()) {
-          response.status = scanned.status();
+          response.status = scanned;
           break;
         }
-        const std::vector<relational::Row> rows = std::move(*scanned);
-        rows_scanned += static_cast<int64_t>(rows.size());
-        for (size_t c = 0; c < schema.columns().size(); ++c) {
-          std::set<std::string> distinct;
-          const relational::Value* min_v = nullptr;
-          const relational::Value* max_v = nullptr;
-          int64_t width_sum = 0;
-          for (const relational::Row& row : rows) {
-            const relational::Value& v = row[c];
-            width_sum += static_cast<int64_t>(v.ToDisplayString().size()) + 4;
-            if (v.is_null()) continue;
-            distinct.insert(v.ToSqlLiteral());
-            if (min_v == nullptr || v.Compare(*min_v) < 0) min_v = &v;
-            if (max_v == nullptr || v.Compare(*max_v) > 0) max_v = &v;
-          }
+        rows_scanned += row_count;
+        for (size_t c = 0; c < stats.size(); ++c) {
+          const ColumnStats& col = stats[c];
           const double avg_width =
-              rows.empty() ? 0.0
-                           : static_cast<double>(width_sum) /
-                                 static_cast<double>(rows.size());
+              row_count == 0 ? 0.0
+                             : static_cast<double>(col.width_sum) /
+                                   static_cast<double>(row_count);
           response.result.rows.push_back(relational::Row{
               relational::Value::Text(table_name),
               relational::Value::Text(schema.columns()[c].name),
+              relational::Value::Integer(row_count),
               relational::Value::Integer(
-                  static_cast<int64_t>(rows.size())),
-              relational::Value::Integer(
-                  static_cast<int64_t>(distinct.size())),
+                  static_cast<int64_t>(col.distinct.size())),
               relational::Value::Text(
-                  min_v == nullptr ? "" : min_v->ToDisplayString()),
+                  col.min_v ? col.min_v->ToDisplayString() : ""),
               relational::Value::Text(
-                  max_v == nullptr ? "" : max_v->ToDisplayString()),
+                  col.max_v ? col.max_v->ToDisplayString() : ""),
               relational::Value::Real(avg_width)});
         }
       }

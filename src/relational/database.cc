@@ -52,15 +52,17 @@ Status Database::CreateTable(TableSchema schema) {
                                  "' already names a table or view in "
                                  "database '" + name_ + "'");
   }
+  // The one place a new table's storage mode is decided: the paged heap
+  // with storage attached, the in-memory vector store without.
+  std::unique_ptr<Table> table;
   if (storage_mgr_ != nullptr) {
     MSQL_ASSIGN_OR_RETURN(TableStorage * storage,
                           storage_mgr_->CreateTableStorage(name_, schema));
-    MSQL_ASSIGN_OR_RETURN(std::unique_ptr<Table> table,
-                          Table::CreatePaged(std::move(schema), storage));
-    tables_.emplace(std::move(name), std::move(table));
-    return Status::OK();
+    MSQL_ASSIGN_OR_RETURN(table, Table::Open(std::move(schema), storage));
+  } else {
+    table = std::make_unique<Table>(std::move(schema));
   }
-  tables_.emplace(name, std::make_unique<Table>(std::move(schema)));
+  tables_.emplace(std::move(name), std::move(table));
   return Status::OK();
 }
 
@@ -72,7 +74,7 @@ Result<std::unique_ptr<Table>> Database::DropTable(std::string_view table) {
   }
   std::unique_ptr<Table> owned = std::move(it->second);
   tables_.erase(it);
-  if (storage_mgr_ != nullptr && owned->paged()) {
+  if (storage_mgr_ != nullptr) {
     // Logs DROP TABLE and moves the storage into the transaction's DDL
     // delta; the Table keeps its (still valid) pointer for rollback.
     MSQL_RETURN_IF_ERROR(

@@ -32,7 +32,6 @@ class Database {
   /// attaches only after rebuilding the catalog, so the rebuild itself
   /// is not re-logged.
   void AttachStorageManager(StorageManager* mgr) { storage_mgr_ = mgr; }
-  StorageManager* storage_manager() const { return storage_mgr_; }
 
   const std::string& name() const { return name_; }
 

@@ -99,9 +99,10 @@ Status LocalEngine::Recover() {
     for (auto& [table_name, tinfo] : info.tables) {
       MSQL_ASSIGN_OR_RETURN(
           std::unique_ptr<Table> table,
-          Table::CreatePaged(std::move(tinfo.schema), tinfo.storage));
+          Table::Open(std::move(tinfo.schema), tinfo.storage));
       for (const RecoveredIndexInfo& index : tinfo.indexes) {
-        MSQL_RETURN_IF_ERROR(table->RestoreIndex(index.name, index.column));
+        MSQL_RETURN_IF_ERROR(
+            table->CreateIndex(index.name, index.column, /*log_ddl=*/false));
       }
       MSQL_RETURN_IF_ERROR(db->RestoreTable(std::move(table)));
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
 
@@ -522,18 +523,13 @@ Result<std::vector<Row>> Executor::RunNaiveJoin(
     int64_t* rows_evaluated) {
   // Only a single-table query chooses an index path here; a naive join
   // scans every source.
-  for (auto& src : *sources) {
-    if (src.table == nullptr) continue;  // view, already materialized
-    AccessPath path;
-    if (sources->size() == 1) {
-      path = ChoosePathForWhere(*src.table, src.effective_name,
-                                stmt.where.get());
-    }
-    MSQL_ASSIGN_OR_RETURN(src.rows, FetchRows(*src.table, path));
+  std::vector<AccessPath> paths(sources->size());
+  if (sources->size() == 1 && sources->front().table != nullptr) {
+    paths[0] = ChoosePathForWhere(*sources->front().table,
+                                  sources->front().effective_name,
+                                  stmt.where.get());
   }
-  for (const auto& src : *sources) {
-    *rows_scanned += static_cast<int64_t>(src.rows.size());
-  }
+  MSQL_RETURN_IF_ERROR(FetchSources(paths, sources, rows_scanned));
 
   // Nested loops over the cross product, one WHERE evaluation per
   // combined row.
@@ -583,16 +579,7 @@ Result<std::vector<Row>> Executor::RunPlannedJoin(
     options_.metrics->Inc("sql.pushdown.conjuncts", plan.pushed_conjuncts);
   }
 
-  // Fetch each source via its planned access path.
-  for (size_t i = 0; i < sources->size(); ++i) {
-    auto& src = (*sources)[i];
-    if (src.table == nullptr) {  // view, already materialized
-      *rows_scanned += static_cast<int64_t>(src.rows.size());
-      continue;
-    }
-    MSQL_ASSIGN_OR_RETURN(src.rows, FetchRows(*src.table, plan.access[i]));
-    *rows_scanned += static_cast<int64_t>(src.rows.size());
-  }
+  MSQL_RETURN_IF_ERROR(FetchSources(plan.access, sources, rows_scanned));
 
   // An empty raw source empties the cross product before any predicate
   // runs — short-circuit exactly like the naive odometer does, so
@@ -683,39 +670,29 @@ Result<std::vector<Row>> Executor::RunPlannedJoin(
       if (options_.metrics != nullptr) {
         options_.metrics->Inc("sql.join.hash");
       }
+      // The step's key of `row`, read at `pos(key part)`; none when a
+      // part is NULL (NULL never equi-joins).
+      auto key_of = [&](const Row& row, auto pos) -> std::optional<Row> {
+        Row key;
+        key.reserve(step.keys.size());
+        for (const auto& kk : step.keys) {
+          if (row[pos(kk)].is_null()) return std::nullopt;
+          key.push_back(row[pos(kk)]);
+        }
+        return key;
+      };
       // Build on the new source, probe with the prefix.
       std::unordered_map<Row, std::vector<uint32_t>, JoinKeyHash, JoinKeyEq>
           built;
       built.reserve(src.rows.size());
       for (size_t r = 0; r < src.rows.size(); ++r) {
-        Row key;
-        key.reserve(step.keys.size());
-        bool null_key = false;
-        for (const auto& kk : step.keys) {
-          const Value& v = src.rows[r][kk.source_pos - off];
-          if (v.is_null()) {
-            null_key = true;
-            break;
-          }
-          key.push_back(v);
-        }
-        if (null_key) continue;
-        built[std::move(key)].push_back(static_cast<uint32_t>(r));
+        auto key = key_of(src.rows[r],
+                          [&](const auto& kk) { return kk.source_pos - off; });
+        if (key) built[std::move(*key)].push_back(static_cast<uint32_t>(r));
       }
       for (const auto& p : prefix) {
-        Row key;
-        key.reserve(step.keys.size());
-        bool null_key = false;
-        for (const auto& kk : step.keys) {
-          const Value& v = p.row[kk.prefix_pos];
-          if (v.is_null()) {
-            null_key = true;
-            break;
-          }
-          key.push_back(v);
-        }
-        if (null_key) continue;
-        auto it = built.find(key);
+        auto key = key_of(p.row, [](const auto& kk) { return kk.prefix_pos; });
+        auto it = key ? built.find(*key) : built.end();
         if (it == built.end()) continue;
         for (uint32_t r : it->second) {
           MSQL_RETURN_IF_ERROR(emit(p, r));
@@ -778,27 +755,37 @@ AccessPath Executor::ChoosePathForWhere(const Table& table,
   return ChooseAccessPath(conjuncts, table, effective_name);
 }
 
-Result<std::vector<RowId>> Executor::FetchIds(const Table& table,
-                                              const AccessPath& path) {
-  if (!path.is_probe()) return table.ScanRowIds();
+Status Executor::ForEachRow(const Table& table, const AccessPath& path,
+                            const RowVisitor& fn) {
+  if (!path.is_probe()) return table.Scan(fn);
   if (options_.metrics != nullptr) options_.metrics->Inc("sql.index_probes");
-  if (path.kind == AccessPath::Kind::kEqual) {
-    return path.index->LookupIds(path.key);
-  }
-  return path.index->LookupRange(path.lo, path.hi);
-}
-
-Result<std::vector<Row>> Executor::FetchRows(const Table& table,
-                                             const AccessPath& path) {
-  if (!path.is_probe()) return table.ScanRows();
-  MSQL_ASSIGN_OR_RETURN(std::vector<RowId> ids, FetchIds(table, path));
-  std::vector<Row> rows;
-  rows.reserve(ids.size());
+  MSQL_ASSIGN_OR_RETURN(std::vector<RowId> ids,
+                        path.kind == AccessPath::Kind::kEqual
+                            ? path.index->LookupIds(path.key)
+                            : path.index->LookupRange(path.lo, path.hi));
   for (RowId id : ids) {
     MSQL_ASSIGN_OR_RETURN(Row row, table.ReadRow(id));
-    rows.push_back(std::move(row));
+    MSQL_RETURN_IF_ERROR(fn(id, std::move(row)));
   }
-  return rows;
+  return Status::OK();
+}
+
+Status Executor::FetchSources(const std::vector<AccessPath>& paths,
+                              std::vector<ResolvedSource>* sources,
+                              int64_t* rows_scanned) {
+  for (size_t i = 0; i < sources->size(); ++i) {
+    ResolvedSource& src = (*sources)[i];
+    if (src.table != nullptr) {  // a view is already materialized
+      if (!paths[i].is_probe()) src.rows.reserve(src.table->live_row_count());
+      MSQL_RETURN_IF_ERROR(
+          ForEachRow(*src.table, paths[i], [&](RowId, Row row) {
+            src.rows.push_back(std::move(row));
+            return Status::OK();
+          }));
+    }
+    *rows_scanned += static_cast<int64_t>(src.rows.size());
+  }
+  return Status::OK();
 }
 
 Result<std::string> Executor::Explain(const Statement& stmt) {
@@ -958,29 +945,32 @@ Result<ResultSet> Executor::ExecuteWrite(
   // consistent snapshot, and a SET on the indexed column cannot move a
   // row into the range still being read.
   const AccessPath path = ChoosePathForWhere(*table, effective, where);
-  MSQL_ASSIGN_OR_RETURN(std::vector<RowId> ids, FetchIds(*table, path));
   struct Change {
     RowId id;
     Row new_row;  // UPDATE only
   };
   std::vector<Change> changes;
-  for (RowId id : ids) {
-    MSQL_ASSIGN_OR_RETURN(Row row, table->ReadRow(id));
-    bool keep = true;
-    if (where != nullptr) {
-      MSQL_ASSIGN_OR_RETURN(keep, evaluator.EvalPredicate(*where, row));
-    }
-    if (!keep) continue;
-    Change change{id, {}};
-    if (assignments != nullptr) {
-      change.new_row = row;
-      for (size_t i = 0; i < assignments->size(); ++i) {
-        MSQL_ASSIGN_OR_RETURN(change.new_row[targets[i]],
-                              evaluator.Eval(*(*assignments)[i].value, row));
-      }
-    }
-    changes.push_back(std::move(change));
-  }
+  int64_t fetched = 0;
+  MSQL_RETURN_IF_ERROR(
+      ForEachRow(*table, path, [&](RowId id, Row row) -> Status {
+        ++fetched;
+        bool keep = true;
+        if (where != nullptr) {
+          MSQL_ASSIGN_OR_RETURN(keep, evaluator.EvalPredicate(*where, row));
+        }
+        if (!keep) return Status::OK();
+        Change change{id, {}};
+        if (assignments != nullptr) {
+          change.new_row = row;
+          for (size_t i = 0; i < assignments->size(); ++i) {
+            MSQL_ASSIGN_OR_RETURN(
+                change.new_row[targets[i]],
+                evaluator.Eval(*(*assignments)[i].value, row));
+          }
+        }
+        changes.push_back(std::move(change));
+        return Status::OK();
+      }));
 
   // Phase 2: apply.
   for (auto& change : changes) {
@@ -1003,9 +993,9 @@ Result<ResultSet> Executor::ExecuteWrite(
   // A probe reports the rows it fetched. A scan reports the live rows
   // after the statement: the LAM charges this figure to the simulated
   // clock, so it must not move.
-  out.rows_scanned = path.is_probe() ? static_cast<int64_t>(ids.size())
-                                     : static_cast<int64_t>(
-                                           table->live_row_count());
+  out.rows_scanned = path.is_probe()
+                         ? fetched
+                         : static_cast<int64_t>(table->live_row_count());
   return out;
 }
 

@@ -117,14 +117,19 @@ class Executor {
   static std::vector<PlannerSource> ToPlannerSources(
       const std::vector<ResolvedSource>& sources);
 
-  /// RowIds of `table` along `path`, ascending; every probe counts one
-  /// `sql.index_probes`.
-  Result<std::vector<RowId>> FetchIds(const Table& table,
-                                      const AccessPath& path);
+  /// The row source of every statement: visits the rows of `table`
+  /// along `path` in RowId order — one pass over the store for a scan,
+  /// one read per returned RowId for a probe (which counts one
+  /// `sql.index_probes`).
+  Status ForEachRow(const Table& table, const AccessPath& path,
+                    const RowVisitor& fn);
 
-  /// Rows of `table` along `path`, in RowId order.
-  Result<std::vector<Row>> FetchRows(const Table& table,
-                                     const AccessPath& path);
+  /// Materializes each base-table source along `paths[i]` (views are
+  /// already materialized) and adds every source's row count to
+  /// `rows_scanned`.
+  Status FetchSources(const std::vector<AccessPath>& paths,
+                      std::vector<ResolvedSource>* sources,
+                      int64_t* rows_scanned);
 
   /// The access path of a single-table statement (UPDATE, DELETE, a
   /// naive one-source SELECT) from its whole WHERE; a scan without one.

@@ -23,11 +23,9 @@ namespace msql::relational {
 /// are indexed too, which keeps maintenance uniform, but no probe
 /// returns them: `= NULL` never probes and ranges skip NULLs.
 ///
-/// The base class is the in-memory implementation (a std::map). Paged
-/// tables substitute BtreeIndex (storage_engine.h), which overrides the
-/// virtual surface with a page-backed B+-tree; the executor and planner
-/// only use that surface (LookupIds / LookupRange / distinct_keys), so
-/// they work against either.
+/// The table's row store makes the index (RowStore::NewIndex): MapIndex
+/// below for the vector store, BtreeIndex (storage_engine.h) for the
+/// paged heap. Callers see only this interface.
 class Index {
  public:
   Index(std::string name, size_t column_index)
@@ -40,13 +38,38 @@ class Index {
   const std::string& name() const { return name_; }
   size_t column_index() const { return column_index_; }
 
-  virtual Status Insert(const Value& key, RowId id) {
+  virtual Status Insert(const Value& key, RowId id) = 0;
+  virtual Status Erase(const Value& key, RowId id) = 0;
+
+  /// RowIds whose column equals `key`, ascending (empty when none).
+  virtual Result<std::vector<RowId>> LookupIds(const Value& key) const = 0;
+
+  /// RowIds whose non-NULL column lies in the inclusive [lo, hi],
+  /// ascending. A NULL `lo` or `hi` leaves that end unbounded; lo > hi
+  /// is an empty range. Bounds must coerce to the column type.
+  virtual Result<std::vector<RowId>> LookupRange(const Value& lo,
+                                                 const Value& hi) const = 0;
+
+  /// Number of distinct keys (planner selectivity input); exact.
+  virtual size_t distinct_keys() const = 0;
+
+ private:
+  std::string name_;
+  size_t column_index_;
+};
+
+/// The in-memory index: a std::map from key to its ascending RowIds.
+class MapIndex final : public Index {
+ public:
+  using Index::Index;
+
+  Status Insert(const Value& key, RowId id) override {
     auto& ids = entries_[key];
     ids.insert(std::upper_bound(ids.begin(), ids.end(), id), id);
     return Status::OK();
   }
 
-  virtual Status Erase(const Value& key, RowId id) {
+  Status Erase(const Value& key, RowId id) override {
     auto it = entries_.find(key);
     if (it == entries_.end()) return Status::OK();
     auto& ids = it->second;
@@ -56,18 +79,14 @@ class Index {
     return Status::OK();
   }
 
-  /// RowIds whose column equals `key`, ascending (empty when none).
-  virtual Result<std::vector<RowId>> LookupIds(const Value& key) const {
-    const std::vector<RowId>* ids = Lookup(key);
-    if (ids == nullptr) return std::vector<RowId>{};
-    return *ids;
+  Result<std::vector<RowId>> LookupIds(const Value& key) const override {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) return std::vector<RowId>{};
+    return it->second;
   }
 
-  /// RowIds whose non-NULL column lies in the inclusive [lo, hi],
-  /// ascending. A NULL `lo` or `hi` leaves that end unbounded; lo > hi
-  /// is an empty range. Bounds must coerce to the column type.
-  virtual Result<std::vector<RowId>> LookupRange(const Value& lo,
-                                                 const Value& hi) const {
+  Result<std::vector<RowId>> LookupRange(const Value& lo,
+                                         const Value& hi) const override {
     std::vector<RowId> ids;
     auto it = lo.is_null() ? entries_.upper_bound(Value::Null_())
                            : entries_.lower_bound(lo);
@@ -79,24 +98,14 @@ class Index {
     return ids;
   }
 
-  /// In-memory probe returning a stable pointer (nullptr when none).
-  /// Only meaningful on the base implementation — paged callers go
-  /// through LookupIds.
-  const std::vector<RowId>* Lookup(const Value& key) const {
-    auto it = entries_.find(key);
-    return it == entries_.end() ? nullptr : &it->second;
-  }
+  size_t distinct_keys() const override { return entries_.size(); }
 
-  virtual size_t distinct_keys() const { return entries_.size(); }
-
- protected:
+ private:
   struct ValueLess {
     bool operator()(const Value& a, const Value& b) const {
       return a.Compare(b) < 0;
     }
   };
-  std::string name_;
-  size_t column_index_;
   std::map<Value, std::vector<RowId>, ValueLess> entries_;
 };
 

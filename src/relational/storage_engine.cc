@@ -139,40 +139,61 @@ Status TableStorage::OpenOrCreate() {
   return heap_->Open();
 }
 
-Status TableStorage::LoggedInsert(RowId id, const Row& row) {
+Result<Row> TableStorage::Read(RowId id) const {
+  MSQL_ASSIGN_OR_RETURN(std::string bytes, heap_->Get(id));
+  return DeserializeRow(bytes);
+}
+
+Status TableStorage::Put(RowId id, const Row& row) {
   std::string bytes = SerializeRow(row);
   MSQL_ASSIGN_OR_RETURN(uint64_t lsn,
                         mgr_->LogInsert(db_, table_, id, bytes));
   return heap_->Put(id, lsn, mgr_->effective_txn(), bytes);
 }
 
-Status TableStorage::LoggedUpdate(RowId id, const Row& before,
-                                  const Row& after) {
-  std::string after_bytes = SerializeRow(after);
+Result<Row> TableStorage::Replace(RowId id, const Row& row) {
+  MSQL_ASSIGN_OR_RETURN(Row before, Read(id));
+  std::string after_bytes = SerializeRow(row);
   MSQL_ASSIGN_OR_RETURN(
       uint64_t lsn,
       mgr_->LogUpdate(db_, table_, id, SerializeRow(before), after_bytes));
-  return heap_->Put(id, lsn, mgr_->effective_txn(), after_bytes);
+  MSQL_RETURN_IF_ERROR(
+      heap_->Put(id, lsn, mgr_->effective_txn(), after_bytes));
+  return before;
 }
 
-Status TableStorage::LoggedDelete(RowId id, const Row& before) {
+Result<Row> TableStorage::Erase(RowId id) {
+  MSQL_ASSIGN_OR_RETURN(Row before, Read(id));
   MSQL_ASSIGN_OR_RETURN(
       uint64_t lsn, mgr_->LogDelete(db_, table_, id, SerializeRow(before)));
-  return heap_->Delete(id, lsn, mgr_->effective_txn());
+  MSQL_RETURN_IF_ERROR(heap_->Delete(id, lsn, mgr_->effective_txn()));
+  return before;
 }
 
-Result<Row> TableStorage::ReadRow(RowId id) const {
-  MSQL_ASSIGN_OR_RETURN(std::string bytes, heap_->Get(id));
-  return DeserializeRow(bytes);
-}
-
-Status TableStorage::ScanLiveRows(
-    const std::function<Status(RowId, Row)>& fn) const {
+Status TableStorage::Scan(const RowVisitor& fn) const {
   return heap_->ScanLive(
       [&](uint64_t rowid, std::string_view bytes) -> Status {
         MSQL_ASSIGN_OR_RETURN(Row row, DeserializeRow(bytes));
         return fn(rowid, std::move(row));
       });
+}
+
+Status TableStorage::ScanEntries(
+    const std::function<Status(RowId, bool)>& fn) const {
+  return heap_->ScanEntries([&](uint64_t rowid, uint16_t flags) {
+    return fn(rowid, flags == 1);
+  });
+}
+
+Result<std::unique_ptr<Index>> TableStorage::NewIndex(
+    const std::string& name, const TableSchema& schema, size_t column,
+    bool log_ddl) {
+  return mgr_->BuildIndex(this, name, schema.column(column).name, column,
+                          schema.column(column).type, log_ddl);
+}
+
+Status TableStorage::OnDropIndex(const std::string& name) {
+  return mgr_->OnDropIndex(db_, table_, name);
 }
 
 // -- BtreeIndex --------------------------------------------------------------
@@ -519,9 +540,6 @@ Result<std::unique_ptr<Index>> StorageManager::BuildIndex(
   auto index = std::make_unique<BtreeIndex>(index_name, column_index,
                                             column_type, this, path);
   MSQL_RETURN_IF_ERROR(index->OpenOrReset());
-  MSQL_RETURN_IF_ERROR(storage->ScanLiveRows([&](RowId id, Row row) {
-    return index->Insert(row[column_index], id);
-  }));
   return std::unique_ptr<Index>(std::move(index));
 }
 

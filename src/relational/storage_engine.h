@@ -36,17 +36,20 @@ struct StorageConfig {
   size_t buffer_pool_pages = 64;
 };
 
-/// Paged persistence of one table incarnation (one heap file). A
+/// Paged persistence of one table incarnation (one heap file): the
+/// RowStore of every table in a database with storage attached. A
 /// "drop then re-create" of the same table name gets a fresh
 /// TableStorage with a distinct file (stems embed the creating DDL
 /// record's LSN), so an aborted re-create can never clobber the old
 /// incarnation's data. Owned by the StorageManager; the Table object
-/// holds a non-owning pointer.
-class TableStorage {
+/// holds a non-owning pointer. Each mutation appends its WAL record
+/// (attributed to the manager's current transaction) first, then
+/// changes the heap on the same LSN.
+class TableStorage final : public RowStore {
  public:
   TableStorage(StorageManager* mgr, std::string db, std::string table,
                std::string path);
-  ~TableStorage();
+  ~TableStorage() override;
 
   TableStorage(const TableStorage&) = delete;
   TableStorage& operator=(const TableStorage&) = delete;
@@ -56,19 +59,20 @@ class TableStorage {
 
   const std::string& db() const { return db_; }
   const std::string& table() const { return table_; }
-  StorageManager* manager() { return mgr_; }
   storage::HeapFile* heap() { return heap_.get(); }
 
-  // Logged mutations: WAL record first (attributed to the manager's
-  // current transaction), then the heap change on the same LSN.
-  Status LoggedInsert(RowId id, const Row& row);
-  Status LoggedUpdate(RowId id, const Row& before, const Row& after);
-  Status LoggedDelete(RowId id, const Row& before);
-
-  Result<Row> ReadRow(RowId id) const;
-
-  /// Deserializing scan over live rows in rowid order.
-  Status ScanLiveRows(const std::function<Status(RowId, Row)>& fn) const;
+  Result<Row> Read(RowId id) const override;
+  Status Put(RowId id, const Row& row) override;
+  Result<Row> Replace(RowId id, const Row& row) override;
+  Result<Row> Erase(RowId id) override;
+  Status Scan(const RowVisitor& fn) const override;
+  Status ScanEntries(
+      const std::function<Status(RowId, bool)>& fn) const override;
+  Result<std::unique_ptr<Index>> NewIndex(const std::string& name,
+                                          const TableSchema& schema,
+                                          size_t column,
+                                          bool log_ddl) override;
+  Status OnDropIndex(const std::string& name) override;
 
  private:
   StorageManager* mgr_;
@@ -249,7 +253,7 @@ class StorageManager {
   /// redoes committed/prepared/compensation DML under per-entry LSN
   /// guards, and reports prepared transactions for the engine to
   /// re-instate. Indexes are not populated here — the engine rebuilds
-  /// them through Table::RestoreIndex.
+  /// them through Table::CreateIndex.
   Result<RecoveryReport> Recover();
 
   // -- Catalog hooks (called from engine / Database / Table) -------------
@@ -272,8 +276,8 @@ class StorageManager {
                       const std::string& sql);
   Status OnDropView(const std::string& db, const std::string& view);
 
-  /// Builds a paged index (logging CREATE INDEX when `log` and not in
-  /// undo mode) and populates it from the table's live rows.
+  /// Opens an empty paged index (logging CREATE INDEX when `log` and
+  /// not in undo mode); the table populates it.
   Result<std::unique_ptr<Index>> BuildIndex(TableStorage* storage,
                                             const std::string& index_name,
                                             const std::string& column_name,

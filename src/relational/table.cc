@@ -1,51 +1,84 @@
 #include "relational/table.h"
 
+#include <optional>
+#include <utility>
+
 #include "common/string_util.h"
 #include "relational/index.h"
-#include "relational/storage_engine.h"
 
 namespace msql::relational {
 
-Table::Table(TableSchema schema) : schema_(std::move(schema)) {}
+namespace {
 
-Table::Table(TableSchema schema, TableStorage* storage)
-    : schema_(std::move(schema)), storage_(storage) {}
+/// The in-memory row store: one optional row per slot.
+class VectorStore final : public RowStore {
+ public:
+  Result<Row> Read(RowId id) const override { return *slots_[id]; }
+  Status Put(RowId id, const Row& row) override {
+    if (id >= slots_.size()) slots_.resize(id + 1);
+    slots_[id] = row;
+    return Status::OK();
+  }
+  Result<Row> Replace(RowId id, const Row& row) override {
+    return std::exchange(*slots_[id], row);
+  }
+  Result<Row> Erase(RowId id) override {
+    Row old = std::move(*slots_[id]);
+    slots_[id].reset();
+    return old;
+  }
+  Status Scan(const RowVisitor& fn) const override {
+    for (RowId id = 0; id < slots_.size(); ++id) {
+      if (slots_[id].has_value()) MSQL_RETURN_IF_ERROR(fn(id, *slots_[id]));
+    }
+    return Status::OK();
+  }
+  Status ScanEntries(
+      const std::function<Status(RowId, bool)>& fn) const override {
+    for (RowId id = 0; id < slots_.size(); ++id) {
+      MSQL_RETURN_IF_ERROR(fn(id, slots_[id].has_value()));
+    }
+    return Status::OK();
+  }
+  Result<std::unique_ptr<Index>> NewIndex(const std::string& name,
+                                          const TableSchema&, size_t column,
+                                          bool) override {
+    return std::unique_ptr<Index>(std::make_unique<MapIndex>(name, column));
+  }
+  Status OnDropIndex(const std::string&) override { return Status::OK(); }
+
+ private:
+  std::vector<std::optional<Row>> slots_;
+};
+
+}  // namespace
+
+Table::Table(TableSchema schema)
+    : schema_(std::move(schema)),
+      owned_store_(std::make_unique<VectorStore>()),
+      store_(owned_store_.get()) {}
+
+Table::Table(TableSchema schema, RowStore* store)
+    : schema_(std::move(schema)), store_(store) {}
 
 Table::~Table() = default;
 
-Result<std::unique_ptr<Table>> Table::CreatePaged(TableSchema schema,
-                                                  TableStorage* storage) {
-  std::unique_ptr<Table> table(new Table(std::move(schema), storage));
-  MSQL_RETURN_IF_ERROR(table->LoadFromStorage());
-  return table;
-}
-
-Status Table::LoadFromStorage() {
-  std::vector<std::pair<RowId, uint16_t>> entries;
-  MSQL_RETURN_IF_ERROR(storage_->heap()->ScanEntries(
-      [&](uint64_t rowid, uint16_t flags) -> Status {
-        entries.emplace_back(rowid, flags);
+Result<std::unique_ptr<Table>> Table::Open(TableSchema schema,
+                                           RowStore* store) {
+  std::unique_ptr<Table> table(new Table(std::move(schema), store));
+  // Ids without a live entry — tombstoned, or gaps left by discarded
+  // transactions — are reusable.
+  MSQL_RETURN_IF_ERROR(
+      store->ScanEntries([&](RowId id, bool live) -> Status {
+        while (table->next_rowid_ < id) {
+          table->free_slots_.insert(table->next_rowid_++);
+        }
+        if (!live) table->free_slots_.insert(id);
+        table->live_count_ += live ? 1 : 0;
+        table->next_rowid_ = id + 1;
         return Status::OK();
       }));
-  next_rowid_ = entries.empty() ? 0 : entries.back().first + 1;
-  live_count_ = 0;
-  free_slots_.clear();
-  // Rowids without a live entry — tombstoned, or gaps left by discarded
-  // transactions — are reusable.
-  size_t next_entry = 0;
-  for (RowId id = 0; id < next_rowid_; ++id) {
-    bool live = false;
-    if (next_entry < entries.size() && entries[next_entry].first == id) {
-      live = entries[next_entry].second == 1;
-      ++next_entry;
-    }
-    if (live) {
-      ++live_count_;
-    } else {
-      free_slots_.insert(id);
-    }
-  }
-  return Status::OK();
+  return table;
 }
 
 Result<Row> Table::Normalize(Row row) const {
@@ -62,92 +95,54 @@ Result<Row> Table::Normalize(Row row) const {
 }
 
 Result<Row> Table::ReadRow(RowId id) const {
-  if (storage_ != nullptr) {
-    if (!IsLive(id)) {
-      return Status::Internal("read of dead slot " + std::to_string(id));
-    }
-    return storage_->ReadRow(id);
-  }
   if (!IsLive(id)) {
     return Status::Internal("read of dead slot " + std::to_string(id));
   }
-  return *slots_[id];
+  return store_->Read(id);
 }
+
+Status Table::Scan(const RowVisitor& fn) const { return store_->Scan(fn); }
 
 Result<RowId> Table::Insert(Row row) {
   MSQL_ASSIGN_OR_RETURN(Row normalized, Normalize(std::move(row)));
-  if (storage_ != nullptr) {
-    // Reuse the lowest tombstoned slot, as in-memory mode does.
-    RowId id = free_slots_.empty() ? next_rowid_ : *free_slots_.begin();
-    MSQL_RETURN_IF_ERROR(storage_->LoggedInsert(id, normalized));
-    Status indexed = IndexInsert(normalized, id);
-    if (!indexed.ok()) {
-      // Compensate the heap write so the slot is not half-born; the
-      // compensation is logged like any other mutation.
-      (void)storage_->LoggedDelete(id, normalized);
-      return indexed;
-    }
-    if (id == next_rowid_) {
-      ++next_rowid_;
-    } else {
-      free_slots_.erase(id);
-    }
-    ++live_count_;
-    return id;
+  // Reuse the lowest tombstoned slot so slot_count() stays bounded by
+  // the high-water mark of live rows, not by total inserts.
+  RowId id = free_slots_.empty() ? next_rowid_ : *free_slots_.begin();
+  MSQL_RETURN_IF_ERROR(store_->Put(id, normalized));
+  Status indexed = IndexInsert(normalized, id);
+  if (!indexed.ok()) {
+    // Compensate the store write so the slot is not half-born; a paged
+    // store logs the compensation like any other mutation.
+    (void)store_->Erase(id);
+    return indexed;
   }
-  RowId id;
-  if (!free_slots_.empty()) {
-    // Reuse the lowest tombstoned slot so slot_count() stays bounded by
-    // the high-water mark of live rows, not by total inserts.
-    id = *free_slots_.begin();
-    free_slots_.erase(free_slots_.begin());
-    slots_[id] = std::move(normalized);
+  if (id == next_rowid_) {
+    ++next_rowid_;
   } else {
-    slots_.emplace_back(std::move(normalized));
-    id = static_cast<RowId>(slots_.size() - 1);
+    free_slots_.erase(id);
   }
   ++live_count_;
-  MSQL_RETURN_IF_ERROR(IndexInsert(*slots_[id], id));
   return id;
 }
 
 Status Table::ResurrectRow(RowId id, Row row) {
-  if (storage_ != nullptr) {
-    if (IsLive(id)) {
-      return Status::Internal("resurrect of live slot " + std::to_string(id));
-    }
-    MSQL_RETURN_IF_ERROR(storage_->LoggedInsert(id, row));
-    free_slots_.erase(id);
-    if (id >= next_rowid_) next_rowid_ = id + 1;
-    ++live_count_;
-    return IndexInsert(row, id);
-  }
-  if (id >= slots_.size()) {
+  if (id >= next_rowid_) {
     return Status::Internal("resurrect of unknown slot " + std::to_string(id));
   }
-  if (slots_[id].has_value()) {
+  if (IsLive(id)) {
     return Status::Internal("resurrect of live slot " + std::to_string(id));
   }
-  slots_[id] = std::move(row);
+  MSQL_RETURN_IF_ERROR(store_->Put(id, row));
   free_slots_.erase(id);
   ++live_count_;
-  return IndexInsert(*slots_[id], id);
+  return IndexInsert(row, id);
 }
 
 Result<Row> Table::Delete(RowId id) {
   if (!IsLive(id)) {
     return Status::Internal("delete of dead slot " + std::to_string(id));
   }
-  if (storage_ != nullptr) {
-    MSQL_ASSIGN_OR_RETURN(Row old, storage_->ReadRow(id));
-    MSQL_RETURN_IF_ERROR(storage_->LoggedDelete(id, old));
-    free_slots_.insert(id);
-    --live_count_;
-    MSQL_RETURN_IF_ERROR(IndexErase(old, id));
-    return old;
-  }
-  Row old = std::move(*slots_[id]);
-  slots_[id].reset();
+  MSQL_ASSIGN_OR_RETURN(Row old, store_->Erase(id));
   free_slots_.insert(id);
   --live_count_;
   MSQL_RETURN_IF_ERROR(IndexErase(old, id));
@@ -159,64 +154,14 @@ Result<Row> Table::Update(RowId id, Row new_row) {
     return Status::Internal("update of dead slot " + std::to_string(id));
   }
   MSQL_ASSIGN_OR_RETURN(Row normalized, Normalize(std::move(new_row)));
-  if (storage_ != nullptr) {
-    MSQL_ASSIGN_OR_RETURN(Row old, storage_->ReadRow(id));
-    MSQL_RETURN_IF_ERROR(storage_->LoggedUpdate(id, old, normalized));
-    MSQL_RETURN_IF_ERROR(IndexErase(old, id));
-    MSQL_RETURN_IF_ERROR(IndexInsert(normalized, id));
-    return old;
-  }
-  Row old = std::move(*slots_[id]);
-  slots_[id] = std::move(normalized);
+  MSQL_ASSIGN_OR_RETURN(Row old, store_->Replace(id, normalized));
   MSQL_RETURN_IF_ERROR(IndexErase(old, id));
-  MSQL_RETURN_IF_ERROR(IndexInsert(*slots_[id], id));
+  MSQL_RETURN_IF_ERROR(IndexInsert(normalized, id));
   return old;
 }
 
-std::vector<RowId> Table::ScanRowIds() const {
-  std::vector<RowId> ids;
-  ids.reserve(live_count_);
-  if (storage_ != nullptr) {
-    for (RowId id = 0; id < next_rowid_; ++id) {
-      if (free_slots_.count(id) == 0) ids.push_back(id);
-    }
-    return ids;
-  }
-  for (RowId id = 0; id < slots_.size(); ++id) {
-    if (slots_[id].has_value()) ids.push_back(id);
-  }
-  return ids;
-}
-
-Result<std::vector<Row>> Table::ScanRows() const {
-  std::vector<Row> rows;
-  rows.reserve(live_count_);
-  if (storage_ != nullptr) {
-    MSQL_RETURN_IF_ERROR(
-        storage_->ScanLiveRows([&](RowId, Row row) -> Status {
-          rows.push_back(std::move(row));
-          return Status::OK();
-        }));
-    return rows;
-  }
-  for (const auto& slot : slots_) {
-    if (slot.has_value()) rows.push_back(*slot);
-  }
-  return rows;
-}
-
 Status Table::CreateIndex(std::string_view index_name,
-                          std::string_view column) {
-  return CreateIndexInternal(index_name, column, /*log_ddl=*/true);
-}
-
-Status Table::RestoreIndex(std::string_view index_name,
-                           std::string_view column) {
-  return CreateIndexInternal(index_name, column, /*log_ddl=*/false);
-}
-
-Status Table::CreateIndexInternal(std::string_view index_name,
-                                  std::string_view column, bool log_ddl) {
+                          std::string_view column, bool log_ddl) {
   std::string key = ToLower(index_name);
   if (indexes_.count(key) > 0) {
     return Status::AlreadyExists("index '" + key + "' already exists on '" +
@@ -227,21 +172,11 @@ Status Table::CreateIndexInternal(std::string_view index_name,
     return Status::NotFound("column '" + std::string(column) +
                             "' not in table '" + schema_.table_name() + "'");
   }
-  if (storage_ != nullptr) {
-    MSQL_ASSIGN_OR_RETURN(
-        std::unique_ptr<Index> index,
-        storage_->manager()->BuildIndex(storage_, key,
-                                        schema_.column(*col).name, *col,
-                                        schema_.column(*col).type, log_ddl));
-    indexes_.emplace(std::move(key), std::move(index));
-    return Status::OK();
-  }
-  auto index = std::make_unique<Index>(key, *col);
-  for (RowId id = 0; id < slots_.size(); ++id) {
-    if (slots_[id].has_value()) {
-      MSQL_RETURN_IF_ERROR(index->Insert((*slots_[id])[*col], id));
-    }
-  }
+  MSQL_ASSIGN_OR_RETURN(std::unique_ptr<Index> index,
+                        store_->NewIndex(key, schema_, *col, log_ddl));
+  MSQL_RETURN_IF_ERROR(Scan([&](RowId id, Row row) {
+    return index->Insert(row[*col], id);
+  }));
   indexes_.emplace(std::move(key), std::move(index));
   return Status::OK();
 }
@@ -254,10 +189,7 @@ Result<std::string> Table::DropIndex(std::string_view index_name) {
                             "'");
   }
   std::string column = schema_.column(it->second->column_index()).name;
-  if (storage_ != nullptr) {
-    MSQL_RETURN_IF_ERROR(storage_->manager()->OnDropIndex(
-        storage_->db(), storage_->table(), it->first));
-  }
+  MSQL_RETURN_IF_ERROR(store_->OnDropIndex(it->first));
   indexes_.erase(it);
   return column;
 }

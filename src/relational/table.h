@@ -2,9 +2,9 @@
 #define MSQL_RELATIONAL_TABLE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -16,7 +16,7 @@
 
 namespace msql::relational {
 
-class TableStorage;
+class Index;
 
 /// A row is a vector of values positionally aligned with a TableSchema.
 using Row = std::vector<Value>;
@@ -28,75 +28,95 @@ using Row = std::vector<Value>;
 /// undo of the operations that reused it.
 using RowId = uint64_t;
 
-/// Heap-organized table: slot array with tombstones.
+/// Visitor of a scan: called once per live row, in RowId order. A
+/// non-OK status stops the scan and is returned by it.
+using RowVisitor = std::function<Status(RowId, Row)>;
+
+/// Where a Table's rows live: the vector store of an in-memory table
+/// (table.cc) or the WAL-logged heap of TableStorage (storage_engine.h).
+/// The Table picks every RowId and keeps the rowid bookkeeping and the
+/// index maintenance; the store holds rows at the ids it is given. Read,
+/// Replace and Erase are only asked about live ids, Put about free ones.
+class RowStore {
+ public:
+  virtual ~RowStore() = default;
+
+  virtual Result<Row> Read(RowId id) const = 0;
+  virtual Status Put(RowId id, const Row& row) = 0;
+  /// Replace and Erase return the row's before-image.
+  virtual Result<Row> Replace(RowId id, const Row& row) = 0;
+  virtual Result<Row> Erase(RowId id) = 0;
+  /// Visits every live row in RowId order.
+  virtual Status Scan(const RowVisitor& fn) const = 0;
+  /// Visits every id with an entry, live or tombstoned, ascending.
+  virtual Status ScanEntries(
+      const std::function<Status(RowId, bool live)>& fn) const = 0;
+
+  /// A new empty index of this store's kind over `column`; `log_ddl`
+  /// false re-creates one whose DDL is already durable.
+  virtual Result<std::unique_ptr<Index>> NewIndex(const std::string& name,
+                                                  const TableSchema& schema,
+                                                  size_t column,
+                                                  bool log_ddl) = 0;
+  virtual Status OnDropIndex(const std::string& name) = 0;
+};
+
+/// A relation: schema, rows in a RowStore, and secondary indexes.
+///
+/// The store is picked once, when the table is made: the constructor
+/// gives an in-memory vector store, Open a caller-owned one (the paged
+/// heap of a database with storage attached). Nothing above the table
+/// sees which. The table itself keeps the rowid bookkeeping (next id,
+/// free list, live count) and maintains every index, in one code path
+/// for both stores.
 ///
 /// Mutations go through the RowId-based primitives so that the
 /// transaction manager can record precise undo information (the inverse
 /// primitive).
-///
-/// Two storage modes share this interface:
-///   - in-memory (default): rows live in `slots_`, indexes are
-///     std::map-backed — the original engine, still what most tests and
-///     the netsim fixtures use;
-///   - paged: rows live in a TableStorage heap file behind the engine's
-///     buffer pool, every mutation is WAL-logged, and indexes are paged
-///     B+-trees. Only rowid bookkeeping (free list, live count) stays
-///     resident, so memory is bounded by the pool, not the data.
-/// GetRow's const-reference accessor only exists in-memory; paged
-/// callers use ReadRow, which materializes one row.
 class Table {
  public:
-  // Constructor and destructor are out of line: indexes_ holds the
-  // incomplete Index type.
+  /// An empty in-memory table.
   explicit Table(TableSchema schema);
   ~Table();
 
-  /// Builds a paged table over `storage`, rebuilding the rowid
-  /// bookkeeping from the heap's directory (used both by CREATE TABLE
-  /// and by recovery, where the heap already has rows).
-  static Result<std::unique_ptr<Table>> CreatePaged(TableSchema schema,
-                                                    TableStorage* storage);
+  /// A table over `store` (not owned), with its rowid bookkeeping
+  /// rebuilt from the store's entries — empty for CREATE TABLE, the
+  /// surviving rows for recovery.
+  static Result<std::unique_ptr<Table>> Open(TableSchema schema,
+                                             RowStore* store);
 
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
 
   const TableSchema& schema() const { return schema_; }
 
-  bool paged() const { return storage_ != nullptr; }
-  TableStorage* storage() const { return storage_; }
-
   /// Number of live (non-deleted) rows.
   size_t live_row_count() const { return live_count_; }
 
-  /// Upper bound on RowIds ever allocated (for iteration).
-  RowId slot_count() const {
-    return storage_ != nullptr ? next_rowid_
-                               : static_cast<RowId>(slots_.size());
-  }
+  /// Upper bound on RowIds ever allocated.
+  RowId slot_count() const { return next_rowid_; }
 
   /// Tombstoned slots currently available for reuse by Insert.
   size_t free_slot_count() const { return free_slots_.size(); }
 
   /// True if `id` names a live row.
   bool IsLive(RowId id) const {
-    if (storage_ != nullptr) {
-      return id < next_rowid_ && free_slots_.count(id) == 0;
-    }
-    return id < slots_.size() && slots_[id].has_value();
+    return id < next_rowid_ && free_slots_.count(id) == 0;
   }
 
-  /// The live row at `id`. Requires IsLive(id) and an in-memory table.
-  const Row& GetRow(RowId id) const { return *slots_[id]; }
-
-  /// The live row at `id`, materialized (works in both modes).
+  /// The live row at `id`, materialized.
   Result<Row> ReadRow(RowId id) const;
+
+  /// Visits every live row in RowId order (one pass over the store).
+  Status Scan(const RowVisitor& fn) const;
 
   /// Appends a row after coercing each value to its column type.
   /// Fails if the arity or a value type does not match.
   Result<RowId> Insert(Row row);
 
   /// Re-occupies a previously deleted slot with its original content
-  /// (transaction undo of a delete). Fails if the slot is live.
+  /// (transaction undo of a delete). Fails if the slot is live or was
+  /// never allocated.
   Status ResurrectRow(RowId id, Row row);
 
   /// Tombstones a live row, returning its content for the undo log.
@@ -105,22 +125,14 @@ class Table {
   /// Replaces a live row's content, returning the before-image.
   Result<Row> Update(RowId id, Row new_row);
 
-  /// All live RowIds in slot order (deterministic scan order).
-  std::vector<RowId> ScanRowIds() const;
-
-  /// All live rows in slot order (copy; paged tables materialize —
-  /// executor fallback only, index probes stay bounded).
-  Result<std::vector<Row>> ScanRows() const;
-
   // -- Secondary indexes ------------------------------------------------
 
   /// Creates an index named `index_name` over `column`, populated from
   /// the current rows. Fails on duplicate name or unknown column.
-  Status CreateIndex(std::string_view index_name, std::string_view column);
-
-  /// Re-creates a paged index without logging DDL (crash recovery —
-  /// the catalog record that mandates it is already in the WAL).
-  Status RestoreIndex(std::string_view index_name, std::string_view column);
+  /// Recovery passes `log_ddl` false: the catalog record that mandates
+  /// the index is already in the WAL.
+  Status CreateIndex(std::string_view index_name, std::string_view column,
+                     bool log_ddl = true);
 
   /// Drops the index (its column name is returned so DDL undo can
   /// rebuild it).
@@ -130,35 +142,28 @@ class Table {
   std::vector<std::string> IndexNames() const;
 
   /// An index over the named column, or nullptr.
-  const class Index* FindIndexOnColumn(std::string_view column) const;
+  const Index* FindIndexOnColumn(std::string_view column) const;
 
  private:
-  Table(TableSchema schema, TableStorage* storage);
+  Table(TableSchema schema, RowStore* store);
 
   /// Checks arity and coerces values to the schema's column types.
   Result<Row> Normalize(Row row) const;
-
-  /// Rebuilds next_rowid_/free_slots_/live_count_ from the heap.
-  Status LoadFromStorage();
-
-  Status CreateIndexInternal(std::string_view index_name,
-                             std::string_view column, bool log_ddl);
 
   Status IndexInsert(const Row& row, RowId id);
   Status IndexErase(const Row& row, RowId id);
 
   TableSchema schema_;
-  TableStorage* storage_ = nullptr;  // non-owning; null = in-memory
-  std::vector<std::optional<Row>> slots_;
+  std::unique_ptr<RowStore> owned_store_;  // the in-memory vector store
+  RowStore* store_;                        // owned_store_ or caller's
   /// Tombstoned slots eligible for reuse, lowest first (deterministic).
-  /// Without this, update/delete-heavy sessions grow `slots_`
-  /// monotonically: unbounded memory and ever-slower slot iteration.
-  /// Paged tables use it the same way over heap tombstones.
+  /// Without this, update/delete-heavy sessions grow the store
+  /// monotonically: unbounded memory and ever-slower scans.
   std::set<RowId> free_slots_;
-  /// Paged mode: first never-allocated rowid.
+  /// First never-allocated rowid.
   RowId next_rowid_ = 0;
   size_t live_count_ = 0;
-  std::map<std::string, std::unique_ptr<class Index>> indexes_;
+  std::map<std::string, std::unique_ptr<Index>> indexes_;
 };
 
 }  // namespace msql::relational

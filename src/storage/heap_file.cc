@@ -192,6 +192,12 @@ Result<std::string> HeapFile::Get(uint64_t rowid) const {
     return Status::NotFound("rowid " + std::to_string(rowid) +
                             " is not live in the heap");
   }
+  return ReadRecord(rowid, page, offset, len);
+}
+
+Result<std::string> HeapFile::ReadRecord(uint64_t rowid, PageId page,
+                                         uint16_t offset,
+                                         uint16_t len) const {
   MSQL_ASSIGN_OR_RETURN(Frame * data, pool_->Pin(file_id_, page));
   if (static_cast<uint32_t>(offset) + kRecordHeader + len > kPageSize ||
       LoadU64(data->data + offset) != rowid) {
@@ -291,8 +297,8 @@ Status HeapFile::ResetTail() {
   return Status::OK();
 }
 
-Status HeapFile::ScanEntries(
-    const std::function<Status(uint64_t, uint16_t)>& fn) const {
+Status HeapFile::ScanDirectory(
+    const std::function<Status(uint64_t, const char*)>& fn) const {
   MSQL_ASSIGN_OR_RETURN(Frame * hdr, pool_->Pin(file_id_, 0));
   uint32_t dir_count = LoadU32(hdr->data + kHdrDirCount);
   std::vector<PageId> dir_pages(dir_count);
@@ -303,12 +309,11 @@ Status HeapFile::ScanEntries(
   for (uint32_t d = 0; d < dir_count; ++d) {
     MSQL_ASSIGN_OR_RETURN(Frame * dir, pool_->Pin(file_id_, dir_pages[d]));
     for (uint32_t i = 0; i < kEntriesPerDirPage; ++i) {
-      uint32_t off = i * kEntryBytes;
-      uint16_t flags = LoadU16(dir->data + off + kEntryFlagsOff);
-      if (flags == 0) continue;
+      const char* entry = dir->data + i * kEntryBytes;
+      if (LoadU16(entry + kEntryFlagsOff) == 0) continue;
       uint64_t rowid =
           static_cast<uint64_t>(d) * kEntriesPerDirPage + i;
-      Status st = fn(rowid, flags);
+      Status st = fn(rowid, entry);
       if (!st.ok()) {
         pool_->Unpin(dir);
         return st;
@@ -319,22 +324,25 @@ Status HeapFile::ScanEntries(
   return Status::OK();
 }
 
-Status HeapFile::ScanLive(
-    const std::function<Status(uint64_t, std::string_view)>& fn) const {
-  return ScanEntries([&](uint64_t rowid, uint16_t flags) -> Status {
-    if (flags != 1) return Status::OK();
-    MSQL_ASSIGN_OR_RETURN(std::string bytes, Get(rowid));
-    return fn(rowid, bytes);
+Status HeapFile::ScanEntries(
+    const std::function<Status(uint64_t, uint16_t)>& fn) const {
+  return ScanDirectory([&](uint64_t rowid, const char* entry) {
+    return fn(rowid, LoadU16(entry + kEntryFlagsOff));
   });
 }
 
-Result<int64_t> HeapFile::MaxRowId() const {
-  int64_t max_id = -1;
-  MSQL_RETURN_IF_ERROR(ScanEntries([&](uint64_t rowid, uint16_t) -> Status {
-    max_id = std::max<int64_t>(max_id, static_cast<int64_t>(rowid));
-    return Status::OK();
-  }));
-  return max_id;
+Status HeapFile::ScanLive(
+    const std::function<Status(uint64_t, std::string_view)>& fn) const {
+  // The entry is read off the pinned directory page, so each live row
+  // costs one data-page pin rather than Get's header/directory/data.
+  return ScanDirectory([&](uint64_t rowid, const char* entry) -> Status {
+    if (LoadU16(entry + kEntryFlagsOff) != 1) return Status::OK();
+    MSQL_ASSIGN_OR_RETURN(
+        std::string bytes,
+        ReadRecord(rowid, LoadU32(entry + kEntryPage),
+                   LoadU16(entry + kEntryOffset), LoadU16(entry + kEntryLen)));
+    return fn(rowid, bytes);
+  });
 }
 
 }  // namespace msql::storage

@@ -88,9 +88,6 @@ class HeapFile {
   Status ScanLive(
       const std::function<Status(uint64_t, std::string_view)>& fn) const;
 
-  /// Largest rowid with a directory entry, or -1 when empty.
-  Result<int64_t> MaxRowId() const;
-
  private:
   static constexpr uint32_t kMagic = 0x4d514831;  // "MQH1"
   static constexpr uint32_t kEntryBytes = 20;
@@ -106,6 +103,13 @@ class HeapFile {
   /// header slot) when `create` is set. Returns the entry offset too.
   Result<Frame*> PinDirPage(uint64_t rowid, bool create, uint64_t txn,
                             uint32_t* entry_offset) const;
+
+  /// ScanEntries' walk, handing `fn` the entry on its pinned page.
+  Status ScanDirectory(
+      const std::function<Status(uint64_t, const char*)>& fn) const;
+  /// Copies the record at (page, offset) after checking it is `rowid`'s.
+  Result<std::string> ReadRecord(uint64_t rowid, PageId page, uint16_t offset,
+                                 uint16_t len) const;
 
   /// True when the heap record at (page, offset) matches the entry —
   /// i.e. the data page version the directory points at reached disk.

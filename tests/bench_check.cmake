@@ -1,7 +1,7 @@
 # bench_check: schema-validates the committed bench baselines under
-# bench/baselines/ and — when a bench has been re-run in this build tree
-# (a fresh BENCH_*.json under ${BINARY_DIR}/bench) — compares its
-# deterministic metrics against the baseline, failing on a >25%
+# bench/baselines/ and compares each bench's fresh BENCH_*.json under
+# ${BINARY_DIR}/bench (written by the bench_quick_* ctest fixture)
+# against its baseline, failing on a missing fresh file or on a >25%
 # regression. Wall-clock metrics are never compared (host time is
 # noisy); every compared metric is a simulated-clock figure or a work
 # counter (page reads, pin hits, WAL appends) and is exact for a fixed
@@ -9,7 +9,7 @@
 # comparisons are guarded on the workload-scale fields, so a full-scale
 # re-run simply skips entries whose scale differs from the baseline.
 #
-# Run via ctest: `ctest -R bench_check` (label `bench`). Invoked as
+# Run via ctest: `ctest -L bench` (the fixture runs first). Invoked as
 #   cmake -DSOURCE_DIR=... -DBINARY_DIR=... -P bench_check.cmake
 
 if(NOT DEFINED SOURCE_DIR OR NOT DEFINED BINARY_DIR)
@@ -26,7 +26,7 @@ macro(fail message)
   message(STATUS "FAIL: ${message}")
 endmacro()
 
-# Reads baseline (required) and fresh (optional) copies of one file.
+# Reads the baseline and fresh copies of one file; both are required.
 macro(load_pair filename base_var fresh_var)
   set(${base_var} "")
   set(${fresh_var} "")
@@ -37,6 +37,8 @@ macro(load_pair filename base_var fresh_var)
   endif()
   if(EXISTS "${FRESH_DIR}/${filename}")
     file(READ "${FRESH_DIR}/${filename}" ${fresh_var})
+  else()
+    fail("missing fresh ${FRESH_DIR}/${filename} (run its bench --quick)")
   endif()
 endmacro()
 

@@ -335,11 +335,11 @@ TEST(CompileAgreementTest, MultiTransaction) {
   EXPECT_EQ(v.execution->outcome, GlobalOutcome::kSuccess);
 }
 
-TEST(CompileAgreementTest, TranslatorRefusalOfPlainQuery) {
-  // The checker lets one COMP naming the database cover every alias of
-  // it; the expander attaches it to the first alias only, so c2 and c3
-  // both need the last-resource slot and the translator refuses.
-  Case c{"plain-query translator refusal",
+TEST(CompileAgreementTest, CompOverDatabaseCoversEveryAlias) {
+  // One COMP naming the database covers every alias of it, in the
+  // expander as in the checker: c1, c2 and c3 each get the compensation,
+  // so none needs the last-resource slot and the plan runs.
+  Case c{"COMP over aliases",
          ContinentalAutocommit(),
          {},
          "USE (continental c1) VITAL (continental c2) VITAL\n"
@@ -351,12 +351,20 @@ TEST(CompileAgreementTest, TranslatorRefusalOfPlainQuery) {
   ASSERT_TRUE(v.analysis.ok());
   ASSERT_TRUE(v.execution.ok());
   EXPECT_FALSE(v.analysis->diagnostics.has_errors());
-  EXPECT_EQ(v.analysis->refusal.ToString(), v.execution->detail.ToString());
-  EXPECT_EQ(v.execution->detail.ToString(),
-            "Refused: vital set is not enforceable: databases {c2, c3} "
-            "neither support 2PC nor provide COMP clauses; failure "
-            "atomicity with respect to the vital set cannot be "
-            "guaranteed");
+  EXPECT_FALSE(v.analysis->refused) << v.analysis->refusal;
+  EXPECT_EQ(v.execution->outcome, GlobalOutcome::kSuccess)
+      << v.execution->detail;
+  for (const std::string alias : {"c1", "c2", "c3"}) {
+    const std::string task = "TASK t_" + alias + " FOR " + alias +
+                             " { UPDATE flights SET rate = rate * 1.1 }\n"
+                             "      COMPENSATION { UPDATE flights SET rate = "
+                             "rate / 1.1 }";
+    EXPECT_NE(v.execution->dol_text.find(task), std::string::npos)
+        << alias << "\n" << v.execution->dol_text;
+    EXPECT_NE(v.execution->dol_text.find("COMPENSATE t_" + alias + ";"),
+              std::string::npos)
+        << alias;
+  }
 }
 
 // Inside a multitransaction the two reports gather checker findings

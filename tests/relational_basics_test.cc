@@ -1,12 +1,18 @@
 // Values, schemas, tables and result sets of the local engine substrate.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
+#include <memory>
 
 #include "relational/result_set.h"
 #include "relational/schema.h"
+#include "relational/storage_engine.h"
 #include "relational/table.h"
 #include "relational/value.h"
 
@@ -128,13 +134,31 @@ TEST(SchemaTest, ProjectPreservesOrder) {
   EXPECT_FALSE(schema.Project({"ghost"}).ok());
 }
 
+Row ReadOk(const Table& table, RowId id) {
+  auto row = table.ReadRow(id);
+  EXPECT_TRUE(row.ok()) << row.status();
+  return row.ok() ? *std::move(row) : Row{};
+}
+
+/// Live RowIds in scan order.
+std::vector<RowId> ScanIds(const Table& table) {
+  std::vector<RowId> ids;
+  EXPECT_TRUE(table
+                  .Scan([&](RowId id, Row) {
+                    ids.push_back(id);
+                    return Status::OK();
+                  })
+                  .ok());
+  return ids;
+}
+
 TEST(TableTest, InsertCoercesAndCounts) {
   Table table(MakeCarsSchema());
   auto id = table.Insert({Value::Integer(1), Value::Text("suv"),
                           Value::Integer(40)});  // int→real coercion
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(table.live_row_count(), 1u);
-  EXPECT_TRUE(table.GetRow(*id)[2].is_real());
+  EXPECT_TRUE(ReadOk(table, *id)[2].is_real());
 }
 
 TEST(TableTest, InsertRejectsBadArityAndType) {
@@ -145,48 +169,100 @@ TEST(TableTest, InsertRejectsBadArityAndType) {
   EXPECT_EQ(table.live_row_count(), 0u);
 }
 
-TEST(TableTest, DeleteAndResurrectRoundTrip) {
-  Table table(MakeCarsSchema());
-  RowId id = *table.Insert(
-      {Value::Integer(7), Value::Text("van"), Value::Real(30.0)});
-  auto removed = table.Delete(id);
-  ASSERT_TRUE(removed.ok());
-  EXPECT_FALSE(table.IsLive(id));
-  EXPECT_EQ(table.live_row_count(), 0u);
-  ASSERT_TRUE(table.ResurrectRow(id, *removed).ok());
-  EXPECT_TRUE(table.IsLive(id));
-  EXPECT_EQ(table.GetRow(id)[0], Value::Integer(7));
-  // Double resurrect is an internal error.
-  EXPECT_FALSE(table.ResurrectRow(id, *removed).ok());
-}
-
-TEST(TableTest, UpdateReturnsBeforeImage) {
-  Table table(MakeCarsSchema());
-  RowId id = *table.Insert(
-      {Value::Integer(1), Value::Text("suv"), Value::Real(40.0)});
-  auto before = table.Update(
-      id, {Value::Integer(1), Value::Text("suv"), Value::Real(44.0)});
-  ASSERT_TRUE(before.ok());
-  EXPECT_EQ((*before)[2], Value::Real(40.0));
-  EXPECT_EQ(table.GetRow(id)[2], Value::Real(44.0));
-}
-
 TEST(TableTest, ScanSkipsTombstones) {
   Table table(MakeCarsSchema());
   RowId a = *table.Insert(
       {Value::Integer(1), Value::Text("a"), Value::Real(1.0)});
   RowId b = *table.Insert(
       {Value::Integer(2), Value::Text("b"), Value::Real(2.0)});
-  (void)b;
   ASSERT_TRUE(table.Delete(a).ok());
-  auto ids = table.ScanRowIds();
-  ASSERT_EQ(ids.size(), 1u);
-  EXPECT_EQ(table.GetRow(ids[0])[0], Value::Integer(2));
-  EXPECT_EQ(table.ScanRows()->size(), 1u);
+  std::vector<Row> rows;
+  ASSERT_TRUE(table
+                  .Scan([&](RowId id, Row row) {
+                    EXPECT_EQ(id, b);
+                    rows.push_back(std::move(row));
+                    return Status::OK();
+                  })
+                  .ok());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0], Value::Integer(2));
 }
 
-TEST(TableTest, InsertReusesTombstonedSlots) {
-  Table table(MakeCarsSchema());
+// The slot, resurrect, update and delete cases run over both row
+// stores: an in-memory table and a table over a paged heap must hand
+// out the same RowIds and agree on slot_count, free_slot_count,
+// live_row_count and scan order.
+class StoreTableTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    if (!GetParam()) {
+      table_ = std::make_unique<Table>(MakeCarsSchema());
+      return;
+    }
+    // A parameterized test's name has a '/'; keep the directory flat so
+    // TearDown removes all of it.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    root_ = std::filesystem::temp_directory_path() /
+            ("msql_table_" + std::to_string(::getpid()) + "_" + name);
+    std::filesystem::remove_all(root_);
+    StorageConfig config;
+    config.root_dir = root_.string();
+    config.buffer_pool_pages = 16;
+    storage_ = std::make_unique<StorageManager>(config);
+    ASSERT_TRUE(storage_->Open().ok());
+    auto heap = storage_->CreateTableStorage("db", MakeCarsSchema());
+    ASSERT_TRUE(heap.ok()) << heap.status();
+    auto table = Table::Open(MakeCarsSchema(), *heap);
+    ASSERT_TRUE(table.ok()) << table.status();
+    table_ = std::move(*table);
+  }
+  void TearDown() override {
+    table_.reset();
+    storage_.reset();
+    if (!root_.empty()) std::filesystem::remove_all(root_);
+  }
+
+  std::filesystem::path root_;
+  std::unique_ptr<StorageManager> storage_;
+  std::unique_ptr<Table> table_;
+};
+
+TEST_P(StoreTableTest, DeleteAndResurrectRoundTrip) {
+  Table& table = *table_;
+  RowId id = *table.Insert(
+      {Value::Integer(7), Value::Text("van"), Value::Real(30.0)});
+  auto removed = table.Delete(id);
+  ASSERT_TRUE(removed.ok());
+  EXPECT_FALSE(table.IsLive(id));
+  EXPECT_EQ(table.live_row_count(), 0u);
+  EXPECT_TRUE(ScanIds(table).empty());
+  ASSERT_TRUE(table.ResurrectRow(id, *removed).ok());
+  EXPECT_TRUE(table.IsLive(id));
+  EXPECT_EQ(ReadOk(table, id)[0], Value::Integer(7));
+  EXPECT_EQ(ScanIds(table), (std::vector<RowId>{id}));
+  // Double resurrect is an internal error, and so is resurrecting a slot
+  // that was never allocated.
+  EXPECT_FALSE(table.ResurrectRow(id, *removed).ok());
+  EXPECT_FALSE(table.ResurrectRow(table.slot_count(), *removed).ok());
+  EXPECT_EQ(table.slot_count(), 1u);
+  EXPECT_EQ(table.live_row_count(), 1u);
+}
+
+TEST_P(StoreTableTest, UpdateReturnsBeforeImage) {
+  Table& table = *table_;
+  RowId id = *table.Insert(
+      {Value::Integer(1), Value::Text("suv"), Value::Real(40.0)});
+  auto before = table.Update(
+      id, {Value::Integer(1), Value::Text("suv"), Value::Real(44.0)});
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ((*before)[2], Value::Real(40.0));
+  EXPECT_EQ(ReadOk(table, id)[2], Value::Real(44.0));
+}
+
+TEST_P(StoreTableTest, InsertReusesTombstonedSlots) {
+  Table& table = *table_;
   std::vector<RowId> ids;
   for (int i = 0; i < 4; ++i) {
     ids.push_back(*table.Insert(
@@ -196,6 +272,7 @@ TEST(TableTest, InsertReusesTombstonedSlots) {
   ASSERT_TRUE(table.Delete(ids[1]).ok());
   ASSERT_TRUE(table.Delete(ids[3]).ok());
   EXPECT_EQ(table.free_slot_count(), 2u);
+  EXPECT_EQ(ScanIds(table), (std::vector<RowId>{0, 2}));
 
   // The next insert takes the lowest tombstoned slot instead of growing
   // the slot array.
@@ -223,7 +300,14 @@ TEST(TableTest, InsertReusesTombstonedSlots) {
   }
   EXPECT_LE(table.slot_count(), 6u);
   EXPECT_EQ(table.live_row_count(), 5u);
+  EXPECT_EQ(ScanIds(table), (std::vector<RowId>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(ReadOk(table, ids[1])[0], Value::Integer(10));
 }
+
+INSTANTIATE_TEST_SUITE_P(BothStores, StoreTableTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Heap" : "Vector";
+                         });
 
 TEST(ResultSetTest, ToStringRendersTable) {
   ResultSet rs;

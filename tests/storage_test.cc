@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -184,7 +185,15 @@ TEST_F(StorageTest, HeapFilePutGetDeleteAndFreeFlags) {
   ASSERT_TRUE(heap.Delete(0, 3, 0).ok());
   EXPECT_EQ(*heap.EntryFlags(0), 2u);
   EXPECT_FALSE(heap.Get(0).ok());
-  EXPECT_EQ(*heap.MaxRowId(), 7);
+  // The directory keeps the tombstone; rowids in between have no entry.
+  std::vector<std::pair<uint64_t, uint16_t>> entries;
+  ASSERT_TRUE(heap.ScanEntries([&](uint64_t rowid, uint16_t flags) {
+                    entries.emplace_back(rowid, flags);
+                    return Status::OK();
+                  })
+                  .ok());
+  EXPECT_EQ(entries,
+            (std::vector<std::pair<uint64_t, uint16_t>>{{0, 2}, {7, 1}}));
 
   // Updates repoint the directory at a fresh record.
   ASSERT_TRUE(heap.Put(7, 4, 0, "beta2").ok());
