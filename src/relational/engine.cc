@@ -1,7 +1,7 @@
 #include "relational/engine.h"
 
 #include "common/string_util.h"
-#include "relational/schema_infer.h"
+#include "relational/binder.h"
 #include "relational/sql/parser.h"
 
 namespace msql::relational {

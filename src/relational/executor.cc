@@ -8,20 +8,10 @@
 
 #include "common/string_util.h"
 #include "relational/index.h"
-#include "relational/schema_infer.h"
 
 namespace msql::relational {
 
 namespace {
-
-/// Output column name for a select item.
-std::string OutputName(const SelectItem& item) {
-  if (!item.alias.empty()) return item.alias;
-  if (item.expr->kind() == ExprKind::kColumnRef) {
-    return static_cast<const ColumnRefExpr&>(*item.expr).name();
-  }
-  return ToLower(item.expr->ToSql());
-}
 
 /// Group key / distinct key: rows compared by strict Value equality.
 struct RowKeyLess {
@@ -216,51 +206,33 @@ Result<Value> Executor::EvalScalarSubquery(const SelectStmt& stmt) {
   return rs.rows[0][0];
 }
 
+SchemaResolver Executor::BaseTables() const {
+  return [db = db_](std::string_view t) -> Result<const TableSchema*> {
+    MSQL_ASSIGN_OR_RETURN(const Table* base, db->GetTableConst(t));
+    return &base->schema();
+  };
+}
+
+ExprEvaluator Executor::Evaluator(size_t first_slot) {
+  return ExprEvaluator(
+      [this](const SelectStmt& sub) { return EvalScalarSubquery(sub); },
+      first_slot);
+}
+
 Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
   if (stmt.from.empty()) {
     return Status::ExecutionError("SELECT without FROM is not supported");
   }
   std::vector<ResolvedSource> sources;
-  RowBinding binding;
   int64_t recursive_scanned = 0;
-  MSQL_RETURN_IF_ERROR(
-      ResolveSources(stmt, &sources, &binding, &recursive_scanned));
-
-  ExprEvaluator evaluator(
-      &binding, [this](const SelectStmt& sub) -> Result<Value> {
-        return EvalScalarSubquery(sub);
-      });
-
-  // Expand '*' select items into explicit column references.
-  std::vector<SelectItem> items;
-  for (const auto& item : stmt.items) {
-    if (!item.is_star) {
-      items.push_back(item.CloneItem());
-      continue;
-    }
-    bool matched = false;
-    for (const auto& src : sources) {
-      if (!item.star_qualifier.empty() &&
-          !EqualsIgnoreCase(src.effective_name, item.star_qualifier)) {
-        continue;
-      }
-      matched = true;
-      for (const auto& col : src.schema.columns()) {
-        SelectItem expanded;
-        expanded.expr = std::make_unique<ColumnRefExpr>(src.effective_name,
-                                                        col.name);
-        expanded.alias = col.name;
-        items.push_back(std::move(expanded));
-      }
-    }
-    if (!matched) {
-      return Status::NotFound("'*' qualifier '" + item.star_qualifier +
-                              "' does not match any FROM table");
-    }
-  }
-  if (items.empty()) {
+  MSQL_ASSIGN_OR_RETURN(
+      BindScope scope, ResolveSources(stmt, &sources, &recursive_scanned));
+  MSQL_ASSIGN_OR_RETURN(BoundSelect bound,
+                        BindSelect(stmt, std::move(scope), BaseTables()));
+  if (bound.items.empty()) {
     return Status::ExecutionError("empty select list");
   }
+  ExprEvaluator evaluator = Evaluator();
 
   // Materialize the filtered join: planned (pushdown + index probes +
   // hash joins) by default, the naive cross product when disabled or
@@ -275,7 +247,8 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
     SelectPlan plan;
     {
       obs::ScopedSpan plan_span(options_.tracer, "sql.plan", "sql");
-      MSQL_ASSIGN_OR_RETURN(plan, PlanSelect(stmt, ToPlannerSources(sources)));
+      plan = PlanSelect(bound.where.get(), bound.scope,
+                        ToPlannerSources(sources));
       if (plan_span.active() && !plan.fallback_reason.empty()) {
         plan_span.Annotate("fallback", plan.fallback_reason);
       }
@@ -284,8 +257,7 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
     if (plan.fallback_reason.empty()) {
       MSQL_ASSIGN_OR_RETURN(
           matched_rows,
-          RunPlannedJoin(plan, &sources, evaluator, &rows_scanned,
-                         &rows_evaluated));
+          RunPlannedJoin(plan, &sources, &rows_scanned, &rows_evaluated));
     } else {
       if (options_.metrics != nullptr) {
         options_.metrics->Inc("sql.plan.fallbacks");
@@ -295,7 +267,7 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
   }
   if (!planned) {
     MSQL_ASSIGN_OR_RETURN(matched_rows,
-                          RunNaiveJoin(stmt, &sources, evaluator,
+                          RunNaiveJoin(bound.where.get(), &sources,
                                        &rows_scanned, &rows_evaluated));
   }
   rows_scanned += recursive_scanned;
@@ -303,52 +275,37 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
     options_.metrics->Observe("sql.rows_evaluated", rows_evaluated);
   }
 
-  // Decide between plain projection and aggregation.
-  bool has_aggregate = !stmt.group_by.empty();
-  for (const auto& item : items) {
-    if (ContainsAggregate(*item.expr)) has_aggregate = true;
-  }
-  if (stmt.having != nullptr) has_aggregate = true;
-
   ResultSet out;
   out.rows_scanned = rows_scanned;
   out.rows_evaluated = rows_evaluated;
   out.plan_text = std::move(plan_text);
-  for (const auto& item : items) out.columns.push_back(OutputName(item));
+  for (const auto& item : bound.items) out.columns.push_back(item.name);
 
   // Pairs of (output row, source row used for ORDER BY evaluation).
   std::vector<std::pair<Row, Row>> produced;
 
-  if (!has_aggregate) {
+  if (!bound.aggregating) {
     for (const auto& src_row : matched_rows) {
       Row out_row;
-      out_row.reserve(items.size());
-      for (const auto& item : items) {
-        MSQL_ASSIGN_OR_RETURN(Value v, evaluator.Eval(*item.expr, src_row));
+      out_row.reserve(bound.items.size());
+      for (const auto& item : bound.items) {
+        MSQL_ASSIGN_OR_RETURN(Value v, evaluator.Eval(item.expr, src_row));
         out_row.push_back(std::move(v));
       }
       produced.emplace_back(std::move(out_row), src_row);
     }
   } else {
-    // Collect every aggregate call reachable from the statement.
-    std::vector<const FunctionCallExpr*> agg_calls;
-    for (const auto& item : items) CollectAggregates(*item.expr, &agg_calls);
-    if (stmt.having != nullptr) CollectAggregates(*stmt.having, &agg_calls);
-    for (const auto& ob : stmt.order_by) {
-      CollectAggregates(*ob.expr, &agg_calls);
-    }
-
     // Group rows. With no GROUP BY there is a single global group (which
     // exists even over zero input rows, per SQL).
     std::map<Row, std::vector<Row>, RowKeyLess> groups;
-    if (stmt.group_by.empty()) {
+    if (bound.group_by.empty()) {
       groups[Row{}] = std::move(matched_rows);
     } else {
       for (auto& src_row : matched_rows) {
         Row key;
-        key.reserve(stmt.group_by.size());
-        for (const auto& g : stmt.group_by) {
-          MSQL_ASSIGN_OR_RETURN(Value v, evaluator.Eval(*g, src_row));
+        key.reserve(bound.group_by.size());
+        for (const auto& g : bound.group_by) {
+          MSQL_ASSIGN_OR_RETURN(Value v, evaluator.Eval(g, src_row));
           key.push_back(std::move(v));
         }
         groups[std::move(key)].push_back(std::move(src_row));
@@ -357,24 +314,26 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
 
     for (auto& [key, group_rows] : groups) {
       (void)key;
-      // Compute each aggregate over the group.
-      std::map<const Expr*, Value> agg_values;
-      for (const FunctionCallExpr* call : agg_calls) {
-        AggAccumulator acc(call);
+      // Compute each aggregate over the group, in aggregate-slot order.
+      Row agg_values;
+      agg_values.reserve(bound.aggregates.size());
+      for (const BoundExpr* call : bound.aggregates) {
+        const auto& f = static_cast<const FunctionCallExpr&>(*call->expr);
+        AggAccumulator acc(&f);
         for (const auto& row : group_rows) {
-          if (call->star()) {
+          if (f.star()) {
             MSQL_RETURN_IF_ERROR(acc.AccumulateStar());
           } else {
-            if (call->args().size() != 1) {
-              return Status::ExecutionError(call->name() +
+            if (call->args.size() != 1) {
+              return Status::ExecutionError(f.name() +
                                             " expects one argument");
             }
             MSQL_ASSIGN_OR_RETURN(Value v,
-                                  evaluator.Eval(*call->args()[0], row));
+                                  evaluator.Eval(call->args[0], row));
             MSQL_RETURN_IF_ERROR(acc.Accumulate(v));
           }
         }
-        agg_values.emplace(call, acc.Finish());
+        agg_values.push_back(acc.Finish());
       }
       evaluator.set_aggregate_values(&agg_values);
 
@@ -384,20 +343,20 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
       if (!group_rows.empty()) {
         representative = group_rows.front();
       } else {
-        representative.assign(binding.size(), Value::Null_());
+        representative.assign(bound.scope.width(), Value::Null_());
       }
 
       bool keep = true;
-      if (stmt.having != nullptr) {
+      if (bound.having != nullptr) {
         MSQL_ASSIGN_OR_RETURN(
-            keep, evaluator.EvalPredicate(*stmt.having, representative));
+            keep, evaluator.EvalPredicate(*bound.having, representative));
       }
       if (keep) {
         Row out_row;
-        out_row.reserve(items.size());
-        for (const auto& item : items) {
+        out_row.reserve(bound.items.size());
+        for (const auto& item : bound.items) {
           MSQL_ASSIGN_OR_RETURN(Value v,
-                                evaluator.Eval(*item.expr, representative));
+                                evaluator.Eval(item.expr, representative));
           out_row.push_back(std::move(v));
         }
         produced.emplace_back(std::move(out_row), representative);
@@ -418,46 +377,35 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
 
   // ORDER BY: keys evaluated against the source/representative row;
   // a bare column name that matches an output column sorts by output.
-  if (!stmt.order_by.empty()) {
+  if (!bound.order_by.empty()) {
     struct Keyed {
       Row keys;
-      std::vector<bool> desc;
       Row out_row;
     };
     std::vector<Keyed> keyed;
     keyed.reserve(produced.size());
     for (auto& pr : produced) {
       Keyed k;
-      for (const auto& ob : stmt.order_by) {
-        Value key_value;
-        bool resolved = false;
-        if (ob.expr->kind() == ExprKind::kColumnRef) {
-          const auto& ref = static_cast<const ColumnRefExpr&>(*ob.expr);
-          if (ref.qualifier().empty()) {
-            for (size_t c = 0; c < out.columns.size(); ++c) {
-              if (EqualsIgnoreCase(out.columns[c], ref.name())) {
-                key_value = pr.first[c];
-                resolved = true;
-                break;
-              }
-            }
-          }
+      for (const auto& ob : bound.order_by) {
+        if (ob.output != BoundExpr::kNoSlot) {
+          k.keys.push_back(pr.first[ob.output]);
+          continue;
         }
-        if (!resolved) {
-          MSQL_ASSIGN_OR_RETURN(key_value,
-                                evaluator.Eval(*ob.expr, pr.second));
-        }
+        MSQL_ASSIGN_OR_RETURN(Value key_value,
+                              evaluator.Eval(ob.expr, pr.second));
         k.keys.push_back(std::move(key_value));
-        k.desc.push_back(ob.descending);
       }
       k.out_row = std::move(pr.first);
       keyed.push_back(std::move(k));
     }
     std::stable_sort(keyed.begin(), keyed.end(),
-                     [](const Keyed& a, const Keyed& b) {
+                     [&](const Keyed& a, const Keyed& b) {
                        for (size_t i = 0; i < a.keys.size(); ++i) {
                          int c = a.keys[i].Compare(b.keys[i]);
-                         if (c != 0) return a.desc[i] ? c > 0 : c < 0;
+                         if (c != 0) {
+                           return bound.order_by[i].descending ? c > 0
+                                                               : c < 0;
+                         }
                        }
                        return false;
                      });
@@ -470,30 +418,21 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
   return out;
 }
 
-Status Executor::ResolveSources(const SelectStmt& stmt,
-                                std::vector<ResolvedSource>* sources,
-                                RowBinding* binding,
-                                int64_t* recursive_scanned) {
+Result<BindScope> Executor::ResolveSources(
+    const SelectStmt& stmt, std::vector<ResolvedSource>* sources,
+    int64_t* recursive_scanned) {
   for (const auto& ref : stmt.from) {
     MSQL_RETURN_IF_ERROR(CheckQualifier(ref));
     MSQL_RETURN_IF_ERROR(locks_->Acquire(txn_, LockKey(ref.table),
                                          LockManager::Mode::kShared));
-    std::string eff = ToLower(ref.EffectiveName());
     ResolvedSource source;
-    source.effective_name = eff;
+    source.effective_name = ToLower(ref.EffectiveName());
     if (db_->HasView(ref.table)) {
       MSQL_ASSIGN_OR_RETURN(const SelectStmt* definition,
                             db_->GetView(ref.table));
       MSQL_ASSIGN_OR_RETURN(
           source.schema,
-          InferSelectSchema(ToLower(ref.table), *definition,
-                            [this](std::string_view t)
-                                -> Result<const TableSchema*> {
-                              MSQL_ASSIGN_OR_RETURN(
-                                  const Table* base,
-                                  db_->GetTableConst(t));
-                              return &base->schema();
-                            }));
+          InferSelectSchema(ToLower(ref.table), *definition, BaseTables()));
       MSQL_ASSIGN_OR_RETURN(ResultSet materialized,
                             ExecuteSelect(*definition));
       if (materialized.columns.size() != source.schema.num_columns()) {
@@ -511,24 +450,27 @@ Status Executor::ResolveSources(const SelectStmt& stmt,
       // chosen (scan or index probe).
       source.table = table;
     }
-    binding->AddTable(eff, source.schema);
     sources->push_back(std::move(source));
   }
-  return Status::OK();
+  // The scope points into `sources`, which is complete: it no longer
+  // reallocates.
+  BindScope scope;
+  for (const auto& src : *sources) {
+    scope.AddSource(src.effective_name, &src.schema);
+  }
+  return scope;
 }
 
 Result<std::vector<Row>> Executor::RunNaiveJoin(
-    const SelectStmt& stmt, std::vector<ResolvedSource>* sources,
-    const ExprEvaluator& evaluator, int64_t* rows_scanned,
-    int64_t* rows_evaluated) {
+    const BoundExpr* where, std::vector<ResolvedSource>* sources,
+    int64_t* rows_scanned, int64_t* rows_evaluated) {
   // Only a single-table query chooses an index path here; a naive join
   // scans every source.
   std::vector<AccessPath> paths(sources->size());
   if (sources->size() == 1 && sources->front().table != nullptr) {
-    paths[0] = ChoosePathForWhere(*sources->front().table,
-                                  sources->front().effective_name,
-                                  stmt.where.get());
+    paths[0] = ChoosePathForWhere(*sources->front().table, where);
   }
+  const ExprEvaluator evaluator = Evaluator();
   MSQL_RETURN_IF_ERROR(FetchSources(paths, sources, rows_scanned));
 
   // Nested loops over the cross product, one WHERE evaluation per
@@ -547,9 +489,8 @@ Result<std::vector<Row>> Executor::RunNaiveJoin(
     }
     ++*rows_evaluated;
     bool keep = true;
-    if (stmt.where != nullptr) {
-      MSQL_ASSIGN_OR_RETURN(keep,
-                            evaluator.EvalPredicate(*stmt.where, combined));
+    if (where != nullptr) {
+      MSQL_ASSIGN_OR_RETURN(keep, evaluator.EvalPredicate(*where, combined));
     }
     if (keep) matched_rows.push_back(std::move(combined));
     // Advance the odometer.
@@ -565,8 +506,7 @@ Result<std::vector<Row>> Executor::RunNaiveJoin(
 }
 
 Result<std::vector<Row>> Executor::RunPlannedJoin(
-    const SelectPlan& plan,
-    std::vector<ResolvedSource>* sources, const ExprEvaluator& evaluator,
+    const SelectPlan& plan, std::vector<ResolvedSource>* sources,
     int64_t* rows_scanned, int64_t* rows_evaluated) {
   obs::ScopedSpan join_span(options_.tracer, "sql.join", "sql");
   if (join_span.active()) {
@@ -589,7 +529,7 @@ Result<std::vector<Row>> Executor::RunPlannedJoin(
   }
 
   // Pushed filters: evaluate single-source conjuncts on the source's
-  // own rows, before any join.
+  // own rows, before any join; their slots all fall in that source.
   for (size_t i = 0; i < sources->size(); ++i) {
     bool has_filter = false;
     for (const auto& f : plan.filters) {
@@ -597,12 +537,7 @@ Result<std::vector<Row>> Executor::RunPlannedJoin(
     }
     if (!has_filter) continue;
     auto& src = (*sources)[i];
-    RowBinding local;
-    local.AddTable(src.effective_name, src.schema);
-    ExprEvaluator local_eval(
-        &local, [this](const SelectStmt& sub) -> Result<Value> {
-          return EvalScalarSubquery(sub);
-        });
+    const ExprEvaluator local_eval = Evaluator(plan.source_offsets[i]);
     std::vector<Row> kept;
     kept.reserve(src.rows.size());
     for (auto& row : src.rows) {
@@ -625,7 +560,8 @@ Result<std::vector<Row>> Executor::RunPlannedJoin(
   // The join pipeline. Each step widens the joined prefix by one source:
   // hash build/probe when the planner found equi-keys, nested loops
   // otherwise. Rows stay at full combined width (NULL-padded in slots
-  // not yet joined) so the statement's own binding evaluates residuals.
+  // not yet joined) so residuals read their combined-row slots.
+  const ExprEvaluator evaluator = Evaluator();
   std::vector<JoinedRow> prefix;
   for (size_t k = 0; k < plan.steps.size() && (k == 0 || !prefix.empty());
        ++k) {
@@ -658,7 +594,7 @@ Result<std::vector<Row>> Executor::RunPlannedJoin(
       j.ord = p.ord;
       j.ord[step.source] = static_cast<uint32_t>(r);
       bool keep = true;
-      for (const Expr* res : step.residual) {
+      for (const BoundExpr* res : step.residual) {
         MSQL_ASSIGN_OR_RETURN(keep, evaluator.EvalPredicate(*res, j.row));
         if (!keep) break;
       }
@@ -721,7 +657,7 @@ Result<std::vector<Row>> Executor::RunPlannedJoin(
   matched_rows.reserve(prefix.size());
   for (auto& j : prefix) {
     bool keep = true;
-    for (const Expr* res : plan.final_residual) {
+    for (const BoundExpr* res : plan.final_residual) {
       MSQL_ASSIGN_OR_RETURN(keep, evaluator.EvalPredicate(*res, j.row));
       if (!keep) break;
     }
@@ -736,23 +672,20 @@ std::vector<PlannerSource> Executor::ToPlannerSources(
   out.reserve(sources.size());
   for (const auto& src : sources) {
     PlannerSource ps;
-    ps.effective_name = src.effective_name;
-    ps.schema = &src.schema;
     ps.row_count = src.table != nullptr ? src.table->live_row_count()
                                         : src.rows.size();
     ps.table = src.table;
-    out.push_back(std::move(ps));
+    out.push_back(ps);
   }
   return out;
 }
 
 AccessPath Executor::ChoosePathForWhere(const Table& table,
-                                        std::string_view effective_name,
-                                        const Expr* where) {
+                                        const BoundExpr* where) {
   if (where == nullptr) return AccessPath{};
-  std::vector<const Expr*> conjuncts;
+  std::vector<const BoundExpr*> conjuncts;
   SplitConjuncts(*where, &conjuncts);
-  return ChooseAccessPath(conjuncts, table, effective_name);
+  return ChooseAccessPath(conjuncts, table, 0);
 }
 
 Status Executor::ForEachRow(const Table& table, const AccessPath& path,
@@ -805,9 +738,12 @@ Result<std::string> Executor::Explain(const Statement& stmt) {
                                          LockManager::Mode::kShared));
     MSQL_ASSIGN_OR_RETURN(const Table* table, db_->GetTableConst(ref.table));
     const std::string effective = ToLower(ref.EffectiveName());
+    BindScope scope;
+    scope.AddSource(effective, &table->schema());
+    auto bound = Binder(&scope, BaseTables()).BindOptional(where);
     std::string out = std::string("plan: ") +
                       (update ? "update " : "delete ") + effective + ": " +
-                      ChoosePathForWhere(*table, effective, where).Explain();
+                      ChoosePathForWhere(*table, bound.get()).Explain();
     if (where != nullptr) out += "; filter " + where->ToSql();
     return out + "\n";
   }
@@ -820,13 +756,11 @@ Result<std::string> Executor::Explain(const Statement& stmt) {
     return Status::ExecutionError("SELECT without FROM is not supported");
   }
   std::vector<ResolvedSource> sources;
-  RowBinding binding;
   int64_t recursive_scanned = 0;
-  MSQL_RETURN_IF_ERROR(
-      ResolveSources(select, &sources, &binding, &recursive_scanned));
-  MSQL_ASSIGN_OR_RETURN(SelectPlan plan,
-                        PlanSelect(select, ToPlannerSources(sources)));
-  return plan.Explain();
+  MSQL_ASSIGN_OR_RETURN(
+      BindScope scope, ResolveSources(select, &sources, &recursive_scanned));
+  auto where = Binder(&scope, BaseTables()).BindOptional(select.where.get());
+  return PlanSelect(where.get(), scope, ToPlannerSources(sources)).Explain();
 }
 
 Result<ResultSet> Executor::ExecuteInsert(const InsertStmt& stmt) {
@@ -858,17 +792,18 @@ Result<ResultSet> Executor::ExecuteInsert(const InsertStmt& stmt) {
     MSQL_ASSIGN_OR_RETURN(ResultSet src, ExecuteSelect(*stmt.select_source));
     for (auto& row : src.rows) new_rows.push_back(std::move(row));
   } else {
-    RowBinding empty_binding;
-    ExprEvaluator evaluator(
-        &empty_binding, [this](const SelectStmt& sub) -> Result<Value> {
-          return EvalScalarSubquery(sub);
-        });
+    // VALUES binds against the empty scope: a column name in it fails
+    // when evaluated.
+    const BindScope no_columns;
+    const Binder binder(&no_columns, BaseTables());
+    const ExprEvaluator evaluator = Evaluator();
     Row no_row;
     for (const auto& exprs : stmt.values_rows) {
       Row row;
       row.reserve(exprs.size());
       for (const auto& e : exprs) {
-        MSQL_ASSIGN_OR_RETURN(Value v, evaluator.Eval(*e, no_row));
+        MSQL_ASSIGN_OR_RETURN(Value v,
+                              evaluator.Eval(binder.Bind(*e), no_row));
         row.push_back(std::move(v));
       }
       new_rows.push_back(std::move(row));
@@ -918,16 +853,15 @@ Result<ResultSet> Executor::ExecuteWrite(
   MSQL_ASSIGN_OR_RETURN(Table * table, db_->GetTable(ref.table));
   const TableSchema& schema = table->schema();
 
-  std::string effective = ToLower(ref.EffectiveName());
-  RowBinding binding;
-  binding.AddTable(effective, schema);
-  ExprEvaluator evaluator(
-      &binding, [this](const SelectStmt& sub) -> Result<Value> {
-        return EvalScalarSubquery(sub);
-      });
+  BindScope scope;
+  scope.AddSource(ToLower(ref.EffectiveName()), &schema);
+  const Binder binder(&scope, BaseTables());
+  const auto bound_where = binder.BindOptional(where);
+  const ExprEvaluator evaluator = Evaluator();
 
-  // Resolve assignment targets.
+  // Resolve assignment targets and bind their values.
   std::vector<size_t> targets;
+  std::vector<BoundExpr> values;
   if (assignments != nullptr) {
     for (const auto& a : *assignments) {
       auto idx = schema.FindColumn(a.column);
@@ -936,6 +870,7 @@ Result<ResultSet> Executor::ExecuteWrite(
                                 schema.table_name() + "'");
       }
       targets.push_back(*idx);
+      values.push_back(binder.Bind(*a.value));
     }
   }
 
@@ -944,7 +879,7 @@ Result<ResultSet> Executor::ExecuteWrite(
   // pre-statement state. Scalar subqueries in WHERE/SET therefore see a
   // consistent snapshot, and a SET on the indexed column cannot move a
   // row into the range still being read.
-  const AccessPath path = ChoosePathForWhere(*table, effective, where);
+  const AccessPath path = ChoosePathForWhere(*table, bound_where.get());
   struct Change {
     RowId id;
     Row new_row;  // UPDATE only
@@ -955,17 +890,17 @@ Result<ResultSet> Executor::ExecuteWrite(
       ForEachRow(*table, path, [&](RowId id, Row row) -> Status {
         ++fetched;
         bool keep = true;
-        if (where != nullptr) {
-          MSQL_ASSIGN_OR_RETURN(keep, evaluator.EvalPredicate(*where, row));
+        if (bound_where != nullptr) {
+          MSQL_ASSIGN_OR_RETURN(keep,
+                                evaluator.EvalPredicate(*bound_where, row));
         }
         if (!keep) return Status::OK();
         Change change{id, {}};
         if (assignments != nullptr) {
           change.new_row = row;
-          for (size_t i = 0; i < assignments->size(); ++i) {
-            MSQL_ASSIGN_OR_RETURN(
-                change.new_row[targets[i]],
-                evaluator.Eval(*(*assignments)[i].value, row));
+          for (size_t i = 0; i < values.size(); ++i) {
+            MSQL_ASSIGN_OR_RETURN(change.new_row[targets[i]],
+                                  evaluator.Eval(values[i], row));
           }
         }
         changes.push_back(std::move(change));
@@ -1051,13 +986,7 @@ Result<ResultSet> Executor::ExecuteCreateView(const CreateViewStmt& stmt) {
   // Validate the definition against the current schemas (so a broken
   // view is rejected at creation, not at first scan).
   MSQL_RETURN_IF_ERROR(
-      InferSelectSchema(ToLower(stmt.name), *stmt.definition,
-                        [this](std::string_view t)
-                            -> Result<const TableSchema*> {
-                          MSQL_ASSIGN_OR_RETURN(const Table* base,
-                                                db_->GetTableConst(t));
-                          return &base->schema();
-                        })
+      InferSelectSchema(ToLower(stmt.name), *stmt.definition, BaseTables())
           .status());
   MSQL_RETURN_IF_ERROR(
       db_->CreateView(stmt.name, stmt.definition->CloneSelect()));

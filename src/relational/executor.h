@@ -2,7 +2,6 @@
 #define MSQL_RELATIONAL_EXECUTOR_H_
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -41,6 +40,12 @@ struct ExecutorOptions {
 /// transaction. All data modifications append undo records to `txn`;
 /// all table access goes through `locks` (shared for reads, exclusive
 /// for writes) with the no-wait conflict policy.
+///
+/// Every statement binds its expressions once against its FROM scope
+/// (relational/binder.h) before touching a row: each column gets a slot
+/// in the combined row, each node a type and a may-fail flag. The
+/// evaluator reads the slots, the planner the slots and flags. Resolve
+/// errors stay in the bound nodes and surface only on an evaluated row.
 ///
 /// SELECT runs through the local planner (relational/planner.h):
 /// single-source conjuncts are pushed below the join, each base table
@@ -91,31 +96,35 @@ class Executor {
   };
 
   /// Locks and resolves every FROM source, materializing views
-  /// (accumulating their recursive scan cost into `recursive_scanned`)
-  /// and building the combined-row binding.
-  Status ResolveSources(const SelectStmt& stmt,
-                        std::vector<ResolvedSource>* sources,
-                        RowBinding* binding, int64_t* recursive_scanned);
+  /// (accumulating their recursive scan cost into `recursive_scanned`),
+  /// and returns the statement's binding scope over them.
+  Result<BindScope> ResolveSources(const SelectStmt& stmt,
+                                   std::vector<ResolvedSource>* sources,
+                                   int64_t* recursive_scanned);
 
   /// The planned SELECT pipeline: fetch per access path, filter pushed
   /// conjuncts per source, run the hash/nested-loop join steps, apply
   /// the final residual. Produces joined rows in FROM-major order.
   Result<std::vector<Row>> RunPlannedJoin(const SelectPlan& plan,
                                           std::vector<ResolvedSource>* sources,
-                                          const ExprEvaluator& evaluator,
                                           int64_t* rows_scanned,
                                           int64_t* rows_evaluated);
 
   /// The preserved naive oracle: full cross product, one WHERE
   /// evaluation per combined row.
-  Result<std::vector<Row>> RunNaiveJoin(const SelectStmt& stmt,
+  Result<std::vector<Row>> RunNaiveJoin(const BoundExpr* where,
                                         std::vector<ResolvedSource>* sources,
-                                        const ExprEvaluator& evaluator,
                                         int64_t* rows_scanned,
                                         int64_t* rows_evaluated);
 
   static std::vector<PlannerSource> ToPlannerSources(
       const std::vector<ResolvedSource>& sources);
+
+  /// The schemas of this database's base tables, by name.
+  SchemaResolver BaseTables() const;
+
+  /// An evaluator whose scalar subqueries run through this executor.
+  ExprEvaluator Evaluator(size_t first_slot = 0);
 
   /// The row source of every statement: visits the rows of `table`
   /// along `path` in RowId order — one pass over the store for a scan,
@@ -132,10 +141,10 @@ class Executor {
                       int64_t* rows_scanned);
 
   /// The access path of a single-table statement (UPDATE, DELETE, a
-  /// naive one-source SELECT) from its whole WHERE; a scan without one.
+  /// naive one-source SELECT) from its whole bound WHERE; a scan without
+  /// one.
   static AccessPath ChoosePathForWhere(const Table& table,
-                                       std::string_view effective_name,
-                                       const Expr* where);
+                                       const BoundExpr* where);
 
   /// UPDATE (`assignments` set) or DELETE (`assignments` null): collects
   /// every matching row and its new image first, then applies them.

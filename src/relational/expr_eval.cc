@@ -6,42 +6,6 @@
 
 namespace msql::relational {
 
-void RowBinding::AddTable(const std::string& table_name,
-                          const TableSchema& schema) {
-  for (const auto& col : schema.columns()) {
-    entries_.push_back(Entry{table_name, col.name});
-  }
-}
-
-Result<size_t> RowBinding::Resolve(std::string_view qualifier,
-                                   std::string_view name) const {
-  size_t found = entries_.size();
-  bool ambiguous = false;
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (!EqualsIgnoreCase(entries_[i].column, name)) continue;
-    if (!qualifier.empty() &&
-        !EqualsIgnoreCase(entries_[i].table, qualifier)) {
-      continue;
-    }
-    if (found != entries_.size()) {
-      ambiguous = true;
-      break;
-    }
-    found = i;
-  }
-  if (ambiguous) {
-    return Status::InvalidArgument("ambiguous column reference '" +
-                                   std::string(name) + "'");
-  }
-  if (found == entries_.size()) {
-    std::string full = qualifier.empty()
-                           ? std::string(name)
-                           : std::string(qualifier) + "." + std::string(name);
-    return Status::NotFound("unknown column '" + full + "'");
-  }
-  return found;
-}
-
 bool ExprEvaluator::LikeMatch(std::string_view pattern,
                               std::string_view text) {
   size_t p = 0, t = 0;
@@ -69,41 +33,38 @@ bool ExprEvaluator::LikeMatch(std::string_view pattern,
   return p == pattern.size();
 }
 
-Result<Value> ExprEvaluator::Eval(const Expr& e, const Row& row) const {
-  switch (e.kind()) {
+Result<Value> ExprEvaluator::Eval(const BoundExpr& e, const Row& row) const {
+  switch (e.kind) {
     case ExprKind::kLiteral:
-      return static_cast<const LiteralExpr&>(e).value();
+      return static_cast<const LiteralExpr&>(*e.expr).value();
     case ExprKind::kColumnRef: {
-      const auto& ref = static_cast<const ColumnRefExpr&>(e);
-      MSQL_ASSIGN_OR_RETURN(size_t idx,
-                            binding_->Resolve(ref.qualifier(), ref.name()));
-      if (idx >= row.size()) {
-        return Status::Internal("row binding index out of range for " +
-                                ref.FullName());
+      if (e.slot == BoundExpr::kNoSlot) return e.error;
+      if (e.slot < first_slot_ || e.slot - first_slot_ >= row.size()) {
+        return Status::Internal("column slot " + std::to_string(e.slot) +
+                                " outside the evaluated row");
       }
-      return row[idx];
+      return row[e.slot - first_slot_];
     }
     case ExprKind::kUnary:
-      return EvalUnary(static_cast<const UnaryExpr&>(e), row);
+      return EvalUnary(e, row);
     case ExprKind::kBinary:
-      return EvalBinary(static_cast<const BinaryExpr&>(e), row);
+      return EvalBinary(e, row);
     case ExprKind::kFunctionCall:
-      return EvalFunction(static_cast<const FunctionCallExpr&>(e), row);
+      return EvalFunction(e, row);
     case ExprKind::kScalarSubquery: {
       if (!subquery_fn_) {
         return Status::ExecutionError(
             "scalar subquery not supported in this context");
       }
       return subquery_fn_(
-          static_cast<const ScalarSubqueryExpr&>(e).select());
+          static_cast<const ScalarSubqueryExpr&>(*e.expr).select());
     }
     case ExprKind::kInList: {
-      const auto& in = static_cast<const InListExpr&>(e);
-      MSQL_ASSIGN_OR_RETURN(Value operand, Eval(in.operand(), row));
+      MSQL_ASSIGN_OR_RETURN(Value operand, Eval(e.args[0], row));
       if (operand.is_null()) return Value::Null_();
       bool saw_null = false;
-      for (const auto& item : in.list()) {
-        MSQL_ASSIGN_OR_RETURN(Value v, Eval(*item, row));
+      for (size_t i = 1; i < e.args.size(); ++i) {
+        MSQL_ASSIGN_OR_RETURN(Value v, Eval(e.args[i], row));
         if (v.is_null()) {
           saw_null = true;
           continue;
@@ -111,52 +72,54 @@ Result<Value> ExprEvaluator::Eval(const Expr& e, const Row& row) const {
         MSQL_ASSIGN_OR_RETURN(Value eq,
                               EvalComparison(BinaryOp::kEq, operand, v));
         if (eq.is_boolean() && eq.AsBoolean()) {
-          return Value::Boolean(!in.negated());
+          return Value::Boolean(
+              !static_cast<const InListExpr&>(*e.expr).negated());
         }
       }
       if (saw_null) return Value::Null_();  // SQL: unknown membership
-      return Value::Boolean(in.negated());
+      return Value::Boolean(static_cast<const InListExpr&>(*e.expr).negated());
     }
     case ExprKind::kBetween: {
-      const auto& bt = static_cast<const BetweenExpr&>(e);
-      MSQL_ASSIGN_OR_RETURN(Value v, Eval(bt.operand(), row));
-      MSQL_ASSIGN_OR_RETURN(Value lo, Eval(bt.lo(), row));
-      MSQL_ASSIGN_OR_RETURN(Value hi, Eval(bt.hi(), row));
+      MSQL_ASSIGN_OR_RETURN(Value v, Eval(e.args[0], row));
+      MSQL_ASSIGN_OR_RETURN(Value lo, Eval(e.args[1], row));
+      MSQL_ASSIGN_OR_RETURN(Value hi, Eval(e.args[2], row));
       if (v.is_null() || lo.is_null() || hi.is_null()) return Value::Null_();
       MSQL_ASSIGN_OR_RETURN(Value ge, EvalComparison(BinaryOp::kGe, v, lo));
       MSQL_ASSIGN_OR_RETURN(Value le, EvalComparison(BinaryOp::kLe, v, hi));
       bool inside = ge.is_boolean() && ge.AsBoolean() && le.is_boolean() &&
                     le.AsBoolean();
-      return Value::Boolean(bt.negated() ? !inside : inside);
+      return Value::Boolean(
+          static_cast<const BetweenExpr&>(*e.expr).negated() ? !inside
+                                                             : inside);
     }
   }
   return Status::Internal("unhandled expression kind");
 }
 
-Result<bool> ExprEvaluator::EvalPredicate(const Expr& e,
+Result<bool> ExprEvaluator::EvalPredicate(const BoundExpr& e,
                                           const Row& row) const {
   MSQL_ASSIGN_OR_RETURN(Value v, Eval(e, row));
   if (v.is_null()) return false;
   if (!v.is_boolean()) {
     return Status::ExecutionError("predicate does not evaluate to BOOLEAN: " +
-                                  e.ToSql());
+                                  e.expr->ToSql());
   }
   return v.AsBoolean();
 }
 
-Result<Value> ExprEvaluator::EvalUnary(const UnaryExpr& e,
+Result<Value> ExprEvaluator::EvalUnary(const BoundExpr& e,
                                        const Row& row) const {
-  switch (e.op()) {
+  switch (static_cast<const UnaryExpr&>(*e.expr).op()) {
     case UnaryOp::kIsNull: {
-      MSQL_ASSIGN_OR_RETURN(Value v, Eval(e.operand(), row));
+      MSQL_ASSIGN_OR_RETURN(Value v, Eval(e.args[0], row));
       return Value::Boolean(v.is_null());
     }
     case UnaryOp::kIsNotNull: {
-      MSQL_ASSIGN_OR_RETURN(Value v, Eval(e.operand(), row));
+      MSQL_ASSIGN_OR_RETURN(Value v, Eval(e.args[0], row));
       return Value::Boolean(!v.is_null());
     }
     case UnaryOp::kNot: {
-      MSQL_ASSIGN_OR_RETURN(Value v, Eval(e.operand(), row));
+      MSQL_ASSIGN_OR_RETURN(Value v, Eval(e.args[0], row));
       if (v.is_null()) return Value::Null_();
       if (!v.is_boolean()) {
         return Status::ExecutionError("NOT applied to non-boolean");
@@ -164,7 +127,7 @@ Result<Value> ExprEvaluator::EvalUnary(const UnaryExpr& e,
       return Value::Boolean(!v.AsBoolean());
     }
     case UnaryOp::kNegate: {
-      MSQL_ASSIGN_OR_RETURN(Value v, Eval(e.operand(), row));
+      MSQL_ASSIGN_OR_RETURN(Value v, Eval(e.args[0], row));
       if (v.is_null()) return Value::Null_();
       if (v.is_integer()) return Value::Integer(-v.AsInteger());
       if (v.is_real()) return Value::Real(-v.AsReal());
@@ -174,20 +137,21 @@ Result<Value> ExprEvaluator::EvalUnary(const UnaryExpr& e,
   return Status::Internal("unhandled unary op");
 }
 
-Result<Value> ExprEvaluator::EvalBinary(const BinaryExpr& e,
+Result<Value> ExprEvaluator::EvalBinary(const BoundExpr& e,
                                         const Row& row) const {
+  const BinaryOp op = static_cast<const BinaryExpr&>(*e.expr).op();
   // AND/OR implement SQL three-valued logic with short-circuit where the
   // outcome is already determined.
-  if (e.op() == BinaryOp::kAnd || e.op() == BinaryOp::kOr) {
-    MSQL_ASSIGN_OR_RETURN(Value left, Eval(e.left(), row));
-    bool is_and = e.op() == BinaryOp::kAnd;
+  if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
+    MSQL_ASSIGN_OR_RETURN(Value left, Eval(e.args[0], row));
+    bool is_and = op == BinaryOp::kAnd;
     if (left.is_boolean()) {
       if (is_and && !left.AsBoolean()) return Value::Boolean(false);
       if (!is_and && left.AsBoolean()) return Value::Boolean(true);
     } else if (!left.is_null()) {
       return Status::ExecutionError("AND/OR applied to non-boolean");
     }
-    MSQL_ASSIGN_OR_RETURN(Value right, Eval(e.right(), row));
+    MSQL_ASSIGN_OR_RETURN(Value right, Eval(e.args[1], row));
     if (right.is_boolean()) {
       if (is_and && !right.AsBoolean()) return Value::Boolean(false);
       if (!is_and && right.AsBoolean()) return Value::Boolean(true);
@@ -197,21 +161,21 @@ Result<Value> ExprEvaluator::EvalBinary(const BinaryExpr& e,
     if (left.is_null() || right.is_null()) return Value::Null_();
     return Value::Boolean(is_and);  // TRUE AND TRUE / FALSE OR FALSE
   }
-  MSQL_ASSIGN_OR_RETURN(Value left, Eval(e.left(), row));
-  MSQL_ASSIGN_OR_RETURN(Value right, Eval(e.right(), row));
-  switch (e.op()) {
+  MSQL_ASSIGN_OR_RETURN(Value left, Eval(e.args[0], row));
+  MSQL_ASSIGN_OR_RETURN(Value right, Eval(e.args[1], row));
+  switch (op) {
     case BinaryOp::kEq:
     case BinaryOp::kNe:
     case BinaryOp::kLt:
     case BinaryOp::kLe:
     case BinaryOp::kGt:
     case BinaryOp::kGe:
-      return EvalComparison(e.op(), left, right);
+      return EvalComparison(op, left, right);
     case BinaryOp::kAdd:
     case BinaryOp::kSub:
     case BinaryOp::kMul:
     case BinaryOp::kDiv:
-      return EvalArithmetic(e.op(), left, right);
+      return EvalArithmetic(op, left, right);
     case BinaryOp::kLike: {
       if (left.is_null() || right.is_null()) return Value::Null_();
       if (!left.is_text() || !right.is_text()) {
@@ -284,22 +248,21 @@ Result<Value> ExprEvaluator::EvalArithmetic(BinaryOp op, const Value& left,
   }
 }
 
-Result<Value> ExprEvaluator::EvalFunction(const FunctionCallExpr& e,
+Result<Value> ExprEvaluator::EvalFunction(const BoundExpr& e,
                                           const Row& row) const {
-  const std::string& name = e.name();
+  const std::string& name = static_cast<const FunctionCallExpr&>(*e.expr).name();
   if (FunctionCallExpr::IsAggregateName(name)) {
-    if (aggregate_values_ != nullptr) {
-      auto it = aggregate_values_->find(&e);
-      if (it != aggregate_values_->end()) return it->second;
+    if (aggregate_values_ != nullptr && e.slot < aggregate_values_->size()) {
+      return (*aggregate_values_)[e.slot];
     }
     return Status::ExecutionError("aggregate " + name +
                                   " used outside aggregating context");
   }
   // Scalar functions.
   std::vector<Value> args;
-  args.reserve(e.args().size());
-  for (const auto& a : e.args()) {
-    MSQL_ASSIGN_OR_RETURN(Value v, Eval(*a, row));
+  args.reserve(e.args.size());
+  for (const auto& a : e.args) {
+    MSQL_ASSIGN_OR_RETURN(Value v, Eval(a, row));
     args.push_back(std::move(v));
   }
   auto need_args = [&](size_t n) -> Status {
@@ -353,54 +316,6 @@ Result<Value> ExprEvaluator::EvalFunction(const FunctionCallExpr& e,
                        scale);
   }
   return Status::ExecutionError("unknown function " + name);
-}
-
-bool ContainsAggregate(const Expr& e) {
-  std::vector<const FunctionCallExpr*> aggs;
-  CollectAggregates(e, &aggs);
-  return !aggs.empty();
-}
-
-void CollectAggregates(const Expr& e,
-                       std::vector<const FunctionCallExpr*>* out) {
-  switch (e.kind()) {
-    case ExprKind::kLiteral:
-    case ExprKind::kColumnRef:
-      return;
-    case ExprKind::kUnary:
-      CollectAggregates(static_cast<const UnaryExpr&>(e).operand(), out);
-      return;
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const BinaryExpr&>(e);
-      CollectAggregates(b.left(), out);
-      CollectAggregates(b.right(), out);
-      return;
-    }
-    case ExprKind::kFunctionCall: {
-      const auto& f = static_cast<const FunctionCallExpr&>(e);
-      if (FunctionCallExpr::IsAggregateName(f.name())) {
-        out->push_back(&f);
-        return;  // aggregates do not nest
-      }
-      for (const auto& a : f.args()) CollectAggregates(*a, out);
-      return;
-    }
-    case ExprKind::kScalarSubquery:
-      return;  // inner query aggregates are its own business
-    case ExprKind::kInList: {
-      const auto& in = static_cast<const InListExpr&>(e);
-      CollectAggregates(in.operand(), out);
-      for (const auto& item : in.list()) CollectAggregates(*item, out);
-      return;
-    }
-    case ExprKind::kBetween: {
-      const auto& bt = static_cast<const BetweenExpr&>(e);
-      CollectAggregates(bt.operand(), out);
-      CollectAggregates(bt.lo(), out);
-      CollectAggregates(bt.hi(), out);
-      return;
-    }
-  }
 }
 
 }  // namespace msql::relational

@@ -5,7 +5,6 @@
 #include <limits>
 #include <optional>
 
-#include "common/string_util.h"
 #include "relational/index.h"
 #include "relational/table.h"
 
@@ -13,44 +12,31 @@ namespace msql::relational {
 
 namespace {
 
-/// Case-insensitive column lookup, matching RowBinding's resolution.
-std::optional<size_t> FindColumnOf(const TableSchema& schema,
-                                   const std::string& name) {
-  const auto& cols = schema.columns();
-  for (size_t i = 0; i < cols.size(); ++i) {
-    if (EqualsIgnoreCase(cols[i].name, name)) return i;
-  }
-  return std::nullopt;
+/// The column nodes of `e`, in evaluation order. A scalar subquery has
+/// no bound operands: its names bind to its own FROM scope.
+void CollectColumns(const BoundExpr& e, std::vector<const BoundExpr*>* out) {
+  if (e.kind == ExprKind::kColumnRef) out->push_back(&e);
+  for (const auto& arg : e.args) CollectColumns(arg, out);
 }
 
-/// Sources a column reference can bind to (same matching rule as the
-/// executor's RowBinding: qualifier against effective name, then the
-/// column must exist).
-std::vector<size_t> MatchSources(const ColumnRefExpr& ref,
-                                 const std::vector<PlannerSource>& sources) {
-  std::vector<size_t> out;
-  for (size_t i = 0; i < sources.size(); ++i) {
-    if (!ref.qualifier().empty() &&
-        !EqualsIgnoreCase(sources[i].effective_name, ref.qualifier())) {
-      continue;
-    }
-    if (FindColumnOf(*sources[i].schema, ref.name()).has_value()) {
-      out.push_back(i);
-    }
+bool ContainsSubquery(const BoundExpr& e) {
+  if (e.kind == ExprKind::kScalarSubquery) return true;
+  for (const auto& arg : e.args) {
+    if (ContainsSubquery(arg)) return true;
   }
-  return out;
+  return false;
 }
 
 /// Per-conjunct classification computed once up front.
 struct ConjunctInfo {
-  const Expr* expr = nullptr;
+  const BoundExpr* expr = nullptr;
   std::vector<size_t> source_set;  // sorted, unique
   bool has_subquery = false;
   // `a.x = b.y` shape with both sides bare single-source column refs on
   // distinct sources (hash-join candidate).
   bool is_equi_pair = false;
   size_t left_source = 0, right_source = 0;
-  size_t left_pos = 0, right_pos = 0;  // combined-row positions
+  size_t left_pos = 0, right_pos = 0;  // combined-row slots
   bool consumed = false;
 };
 
@@ -62,7 +48,7 @@ std::string FormatEst(double est) {
 /// literal already coerced to the column's type and `op` mirrored when
 /// the literal was written on the left.
 struct IndexedBound {
-  const Expr* conjunct = nullptr;
+  const BoundExpr* conjunct = nullptr;
   const Index* index = nullptr;
   std::string column;
   BinaryOp op = BinaryOp::kEq;
@@ -79,29 +65,29 @@ BinaryOp Mirror(BinaryOp op) {
   }
 }
 
-std::optional<IndexedBound> AsIndexedBound(const Expr& conjunct,
-                                           const Table& table) {
-  if (conjunct.kind() != ExprKind::kBinary) return std::nullopt;
-  const auto& b = static_cast<const BinaryExpr&>(conjunct);
-  BinaryOp op = b.op();
+std::optional<IndexedBound> AsIndexedBound(const BoundExpr& conjunct,
+                                           const Table& table,
+                                           size_t first_slot) {
+  if (conjunct.kind != ExprKind::kBinary) return std::nullopt;
+  BinaryOp op = static_cast<const BinaryExpr&>(*conjunct.expr).op();
   if (op != BinaryOp::kEq && op != BinaryOp::kLt && op != BinaryOp::kLe &&
       op != BinaryOp::kGt && op != BinaryOp::kGe) {
     return std::nullopt;
   }
-  const Expr* col = &b.left();
-  const Expr* lit = &b.right();
-  if (col->kind() != ExprKind::kColumnRef) {
+  const BoundExpr* col = &conjunct.args[0];
+  const BoundExpr* lit = &conjunct.args[1];
+  if (col->kind != ExprKind::kColumnRef) {
     std::swap(col, lit);
     op = Mirror(op);
   }
-  if (col->kind() != ExprKind::kColumnRef ||
-      lit->kind() != ExprKind::kLiteral) {
+  if (col->kind != ExprKind::kColumnRef || lit->kind != ExprKind::kLiteral) {
     return std::nullopt;
   }
-  const auto& ref = static_cast<const ColumnRefExpr&>(*col);
-  const Value& literal = static_cast<const LiteralExpr&>(*lit).value();
+  const std::string& column =
+      table.schema().column(col->slot - first_slot).name;
+  const Value& literal = static_cast<const LiteralExpr&>(*lit->expr).value();
   if (literal.is_null()) return std::nullopt;  // never TRUE
-  const Index* index = table.FindIndexOnColumn(ref.name());
+  const Index* index = table.FindIndexOnColumn(column);
   if (index == nullptr) return std::nullopt;
   Result<Value> coerced =
       literal.CoerceTo(table.schema().column(index->column_index()).type);
@@ -114,132 +100,7 @@ std::optional<IndexedBound> AsIndexedBound(const Expr& conjunct,
                                 coerced->AsInteger() <= -kExactInDouble)) {
     return std::nullopt;
   }
-  return IndexedBound{&conjunct, index, ToLower(ref.name()), op,
-                      *std::move(coerced)};
-}
-
-/// Operand classes of ExprEvaluator's type checks; kNull is the NULL
-/// literal (and a NULL-typed column), which every check accepts.
-enum class TypeClass { kNull, kNumber, kText, kBoolean };
-
-TypeClass ClassOf(Type type) {
-  switch (type) {
-    case Type::kInteger:
-    case Type::kReal: return TypeClass::kNumber;
-    case Type::kText: return TypeClass::kText;
-    case Type::kBoolean: return TypeClass::kBoolean;
-    case Type::kNull: break;
-  }
-  return TypeClass::kNull;
-}
-
-/// The class `e` evaluates to when evaluating it on a row of `table`
-/// (named `effective_name`) can never fail, else nullopt. Mirrors the
-/// evaluator's checks: comparisons, IN and BETWEEN need comparable
-/// operands, AND/OR/NOT booleans, arithmetic and unary minus numbers,
-/// LIKE text. Division (by zero), function calls, scalar subqueries and
-/// columns outside the table count as fallible. Stored values always
-/// have their column's type, so the check holds for every row.
-std::optional<TypeClass> InfallibleClass(const Expr& e, const Table& table,
-                                         std::string_view effective_name) {
-  auto sub = [&](const Expr& x) {
-    return InfallibleClass(x, table, effective_name);
-  };
-  auto is = [](std::optional<TypeClass> t, TypeClass want) {
-    return t.has_value() && (*t == want || *t == TypeClass::kNull);
-  };
-  auto comparable = [](std::optional<TypeClass> a,
-                       std::optional<TypeClass> b) {
-    return a.has_value() && b.has_value() &&
-           (*a == TypeClass::kNull || *b == TypeClass::kNull || *a == *b);
-  };
-  constexpr std::optional<TypeClass> kFallible;
-  switch (e.kind()) {
-    case ExprKind::kLiteral:
-      return ClassOf(static_cast<const LiteralExpr&>(e).value().type());
-    case ExprKind::kColumnRef: {
-      const auto& ref = static_cast<const ColumnRefExpr&>(e);
-      if (!ref.qualifier().empty() &&
-          !EqualsIgnoreCase(ref.qualifier(), effective_name)) {
-        return kFallible;
-      }
-      auto idx = FindColumnOf(table.schema(), ref.name());
-      if (!idx.has_value()) return kFallible;
-      return ClassOf(table.schema().column(*idx).type);
-    }
-    case ExprKind::kUnary: {
-      const auto& u = static_cast<const UnaryExpr&>(e);
-      auto operand = sub(u.operand());
-      switch (u.op()) {
-        case UnaryOp::kIsNull:
-        case UnaryOp::kIsNotNull:
-          if (operand.has_value()) return TypeClass::kBoolean;
-          return kFallible;
-        case UnaryOp::kNot:
-          if (is(operand, TypeClass::kBoolean)) return TypeClass::kBoolean;
-          return kFallible;
-        case UnaryOp::kNegate:
-          if (is(operand, TypeClass::kNumber)) return TypeClass::kNumber;
-          return kFallible;
-      }
-      return kFallible;
-    }
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const BinaryExpr&>(e);
-      auto l = sub(b.left());
-      auto r = sub(b.right());
-      switch (b.op()) {
-        case BinaryOp::kAnd:
-        case BinaryOp::kOr:
-          if (is(l, TypeClass::kBoolean) && is(r, TypeClass::kBoolean)) {
-            return TypeClass::kBoolean;
-          }
-          return kFallible;
-        case BinaryOp::kEq:
-        case BinaryOp::kNe:
-        case BinaryOp::kLt:
-        case BinaryOp::kLe:
-        case BinaryOp::kGt:
-        case BinaryOp::kGe:
-          if (comparable(l, r)) return TypeClass::kBoolean;
-          return kFallible;
-        case BinaryOp::kAdd:
-        case BinaryOp::kSub:
-        case BinaryOp::kMul:
-          if (is(l, TypeClass::kNumber) && is(r, TypeClass::kNumber)) {
-            return TypeClass::kNumber;
-          }
-          return kFallible;
-        case BinaryOp::kLike:
-          if (is(l, TypeClass::kText) && is(r, TypeClass::kText)) {
-            return TypeClass::kBoolean;
-          }
-          return kFallible;
-        default:
-          return kFallible;
-      }
-    }
-    case ExprKind::kInList: {
-      const auto& in = static_cast<const InListExpr&>(e);
-      auto operand = sub(in.operand());
-      for (const auto& item : in.list()) {
-        if (!comparable(operand, sub(*item))) return kFallible;
-      }
-      if (!operand.has_value()) return kFallible;
-      return TypeClass::kBoolean;
-    }
-    case ExprKind::kBetween: {
-      const auto& bt = static_cast<const BetweenExpr&>(e);
-      auto operand = sub(bt.operand());
-      if (comparable(operand, sub(bt.lo())) &&
-          comparable(operand, sub(bt.hi()))) {
-        return TypeClass::kBoolean;
-      }
-      return kFallible;
-    }
-    default:
-      return kFallible;
-  }
+  return IndexedBound{&conjunct, index, column, op, *std::move(coerced)};
 }
 
 /// A strict bound on an INTEGER column as the inclusive one it equals
@@ -281,20 +142,29 @@ std::string AccessPath::Explain() const {
   return "scan";
 }
 
-AccessPath ChooseAccessPath(const std::vector<const Expr*>& conjuncts,
-                            const Table& table,
-                            std::string_view effective_name) {
+void SplitConjuncts(const BoundExpr& e,
+                    std::vector<const BoundExpr*>* out) {
+  if (e.kind == ExprKind::kBinary &&
+      static_cast<const BinaryExpr&>(*e.expr).op() == BinaryOp::kAnd) {
+    SplitConjuncts(e.args[0], out);
+    SplitConjuncts(e.args[1], out);
+    return;
+  }
+  out->push_back(&e);
+}
+
+AccessPath ChooseAccessPath(const std::vector<const BoundExpr*>& conjuncts,
+                            const Table& table, size_t first_slot) {
   AccessPath path;
   std::vector<IndexedBound> bounds;
-  for (const Expr* c : conjuncts) {
+  for (const BoundExpr* c : conjuncts) {
     // A conjunct that may fail forces a scan: a probe would evaluate
     // it on fewer rows and could miss the error a scan raises.
-    auto type = InfallibleClass(*c, table, effective_name);
-    if (!type.has_value() || (*type != TypeClass::kBoolean &&
-                              *type != TypeClass::kNull)) {
+    if (c->may_fail ||
+        (c->type != Type::kBoolean && c->type != Type::kNull)) {
       return path;
     }
-    if (auto bound = AsIndexedBound(*c, table)) {
+    if (auto bound = AsIndexedBound(*c, table, first_slot)) {
       bounds.push_back(*std::move(bound));
     }
   }
@@ -339,7 +209,7 @@ std::string SelectPlan::Explain() const {
     out += "  source " + std::to_string(i) + " (" + source_names[i] + "): ";
     out += access[i].Explain();
     for (const auto& f : filters) {
-      if (f.source == i) out += "; filter " + f.conjunct->ToSql();
+      if (f.source == i) out += "; filter " + f.conjunct->expr->ToSql();
     }
     out += "; est " + FormatEst(estimated_rows[i]) + " row(s)\n";
   }
@@ -357,86 +227,76 @@ std::string SelectPlan::Explain() const {
     out += " source " + std::to_string(step.source) + " (" +
            source_names[step.source] + ")";
     for (size_t j = 0; j < step.keys.size(); ++j) {
-      out += (j == 0 ? " on " : " and ") + step.keys[j].conjunct->ToSql();
+      out += (j == 0 ? " on " : " and ") +
+             step.keys[j].conjunct->expr->ToSql();
     }
     for (const auto* residual : step.residual) {
-      out += "; residual " + residual->ToSql();
+      out += "; residual " + residual->expr->ToSql();
     }
     out += "\n";
   }
   for (const auto* residual : final_residual) {
-    out += "final filter: " + residual->ToSql() + "\n";
+    out += "final filter: " + residual->expr->ToSql() + "\n";
   }
   return out;
 }
 
-Result<SelectPlan> PlanSelect(const SelectStmt& stmt,
-                              const std::vector<PlannerSource>& sources) {
+SelectPlan PlanSelect(const BoundExpr* where, const BindScope& scope,
+                      const std::vector<PlannerSource>& sources) {
   SelectPlan plan;
-  size_t offset = 0;
-  for (const auto& src : sources) {
-    plan.source_names.push_back(src.effective_name);
-    plan.source_offsets.push_back(offset);
-    plan.source_widths.push_back(src.schema->num_columns());
-    offset += src.schema->num_columns();
+  for (size_t i = 0; i < scope.num_sources(); ++i) {
+    plan.source_names.push_back(scope.name(i));
+    plan.source_offsets.push_back(scope.offset(i));
+    plan.source_widths.push_back(scope.schema(i).num_columns());
   }
 
   // -- Conjunct classification -------------------------------------------
   std::vector<ConjunctInfo> conjuncts;
-  if (stmt.where != nullptr) {
-    std::vector<const Expr*> split;
-    SplitConjuncts(*stmt.where, &split);
-    for (const Expr* c : split) {
-      ConjunctInfo info;
-      info.expr = c;
-      info.has_subquery = ContainsScalarSubquery(*c);
-      if (info.has_subquery) {
-        // Uncorrelated subqueries cannot see the outer row, but their
-        // conjunct must still be judged on fully joined rows.
-        conjuncts.push_back(std::move(info));
-        continue;
-      }
-      std::vector<const ColumnRefExpr*> refs;
-      CollectColumnRefs(*c, &refs);
-      for (const ColumnRefExpr* ref : refs) {
-        std::vector<size_t> matches = MatchSources(*ref, sources);
-        if (matches.size() != 1) {
-          // Unknown or ambiguous name: the naive path owns the (row-
-          // dependent) error surfacing, so don't second-guess it.
-          plan.fallback_reason = matches.empty()
-                                     ? "unresolved column '" +
-                                           ref->FullName() + "' in WHERE"
-                                     : "ambiguous column '" +
-                                           ref->FullName() + "' in WHERE";
-          return plan;
-        }
-        info.source_set.push_back(matches[0]);
-      }
-      std::sort(info.source_set.begin(), info.source_set.end());
-      info.source_set.erase(
-          std::unique(info.source_set.begin(), info.source_set.end()),
-          info.source_set.end());
-      // Hash-join candidate: `colA = colB` across two sources.
-      if (info.source_set.size() == 2 && c->kind() == ExprKind::kBinary) {
-        const auto& b = static_cast<const BinaryExpr&>(*c);
-        if (b.op() == BinaryOp::kEq &&
-            b.left().kind() == ExprKind::kColumnRef &&
-            b.right().kind() == ExprKind::kColumnRef) {
-          const auto& lref = static_cast<const ColumnRefExpr&>(b.left());
-          const auto& rref = static_cast<const ColumnRefExpr&>(b.right());
-          size_t ls = MatchSources(lref, sources)[0];
-          size_t rs = MatchSources(rref, sources)[0];
-          info.is_equi_pair = true;
-          info.left_source = ls;
-          info.right_source = rs;
-          info.left_pos = plan.source_offsets[ls] +
-                          *FindColumnOf(*sources[ls].schema, lref.name());
-          info.right_pos = plan.source_offsets[rs] +
-                           *FindColumnOf(*sources[rs].schema, rref.name());
-        }
-      }
+  std::vector<const BoundExpr*> split;
+  if (where != nullptr) SplitConjuncts(*where, &split);
+  for (const BoundExpr* c : split) {
+    ConjunctInfo info;
+    info.expr = c;
+    info.has_subquery = ContainsSubquery(*c);
+    if (info.has_subquery) {
+      // Uncorrelated subqueries cannot see the outer row, but their
+      // conjunct must still be judged on fully joined rows.
       conjuncts.push_back(std::move(info));
+      continue;
     }
+    std::vector<const BoundExpr*> columns;
+    CollectColumns(*c, &columns);
+    for (const BoundExpr* col : columns) {
+      if (col->slot == BoundExpr::kNoSlot) {
+        // Unknown or ambiguous name: the naive path owns the (row-
+        // dependent) error surfacing, so don't second-guess it.
+        plan.fallback_reason =
+            std::string(col->error.code() == StatusCode::kNotFound
+                            ? "unresolved"
+                            : "ambiguous") +
+            " column '" +
+            static_cast<const ColumnRefExpr&>(*col->expr).FullName() +
+            "' in WHERE";
+        return plan;
+      }
+      info.source_set.push_back(scope.SourceOf(col->slot));
+    }
+    std::sort(info.source_set.begin(), info.source_set.end());
+    info.source_set.erase(
+        std::unique(info.source_set.begin(), info.source_set.end()),
+        info.source_set.end());
+    // Hash-join candidate: `colA = colB` across two sources.
+    if (info.source_set.size() == 2 && c->kind == ExprKind::kBinary &&
+        static_cast<const BinaryExpr&>(*c->expr).op() == BinaryOp::kEq &&
+        c->args[0].kind == ExprKind::kColumnRef &&
+        c->args[1].kind == ExprKind::kColumnRef) {
+      info.is_equi_pair = true;
+      info.left_pos = c->args[0].slot;
+      info.right_pos = c->args[1].slot;
+      info.left_source = scope.SourceOf(info.left_pos);
+      info.right_source = scope.SourceOf(info.right_pos);
+    }
+    conjuncts.push_back(std::move(info));
   }
 
   // Distribute: single-source conjuncts push below the join; zero-source
@@ -458,13 +318,12 @@ Result<SelectPlan> PlanSelect(const SelectStmt& stmt,
   plan.access.assign(sources.size(), AccessPath{});
   for (size_t i = 0; i < sources.size(); ++i) {
     if (sources[i].table == nullptr) continue;
-    std::vector<const Expr*> pushed;
+    std::vector<const BoundExpr*> pushed;
     for (const auto& f : plan.filters) {
       if (f.source == i) pushed.push_back(f.conjunct);
     }
     AccessPath& path = plan.access[i];
-    path = ChooseAccessPath(pushed, *sources[i].table,
-                            sources[i].effective_name);
+    path = ChooseAccessPath(pushed, *sources[i].table, scope.offset(i));
     if (path.kind == AccessPath::Kind::kEqual) {
       std::erase_if(plan.filters, [&](const PushedFilter& f) {
         return f.conjunct == path.conjunct;
@@ -491,8 +350,8 @@ Result<SelectPlan> PlanSelect(const SelectStmt& stmt,
     }
     for (const auto& f : plan.filters) {
       if (f.source != i) continue;
-      bool is_eq = f.conjunct->kind() == ExprKind::kBinary &&
-                   static_cast<const BinaryExpr&>(*f.conjunct).op() ==
+      bool is_eq = f.conjunct->kind == ExprKind::kBinary &&
+                   static_cast<const BinaryExpr&>(*f.conjunct->expr).op() ==
                        BinaryOp::kEq;
       est /= is_eq ? 10.0 : 3.0;
     }

@@ -288,26 +288,6 @@ class BetweenExpr : public Expr {
 };
 
 // ---------------------------------------------------------------------------
-// Expression analysis utilities (used by the local query planner)
-// ---------------------------------------------------------------------------
-
-/// Splits a predicate into its top-level AND conjuncts, appended to
-/// `out` in left-to-right source order. A non-AND expression is its own
-/// single conjunct. Because SQL's three-valued AND is TRUE iff every
-/// conjunct is TRUE, a filter point may evaluate the conjuncts
-/// independently and keep a row only when all of them hold.
-void SplitConjuncts(const Expr& e, std::vector<const Expr*>* out);
-
-/// Collects every column reference in the tree, in evaluation order.
-/// Does NOT descend into scalar subqueries — their names bind to the
-/// subquery's own FROM scope, not the enclosing one.
-void CollectColumnRefs(const Expr& e,
-                       std::vector<const ColumnRefExpr*>* out);
-
-/// True if the tree contains a scalar subquery node (at any depth).
-bool ContainsScalarSubquery(const Expr& e);
-
-// ---------------------------------------------------------------------------
 // Statements
 // ---------------------------------------------------------------------------
 

@@ -144,14 +144,14 @@ Result<Row> TableStorage::Read(RowId id) const {
   return DeserializeRow(bytes);
 }
 
-Status TableStorage::Put(RowId id, const Row& row) {
+Status TableStorage::Put(RowId id, Row row) {
   std::string bytes = SerializeRow(row);
   MSQL_ASSIGN_OR_RETURN(uint64_t lsn,
                         mgr_->LogInsert(db_, table_, id, bytes));
   return heap_->Put(id, lsn, mgr_->effective_txn(), bytes);
 }
 
-Result<Row> TableStorage::Replace(RowId id, const Row& row) {
+Result<Row> TableStorage::Replace(RowId id, Row row) {
   MSQL_ASSIGN_OR_RETURN(Row before, Read(id));
   std::string after_bytes = SerializeRow(row);
   MSQL_ASSIGN_OR_RETURN(

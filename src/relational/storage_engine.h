@@ -62,8 +62,8 @@ class TableStorage final : public RowStore {
   storage::HeapFile* heap() { return heap_.get(); }
 
   Result<Row> Read(RowId id) const override;
-  Status Put(RowId id, const Row& row) override;
-  Result<Row> Replace(RowId id, const Row& row) override;
+  Status Put(RowId id, Row row) override;
+  Result<Row> Replace(RowId id, Row row) override;
   Result<Row> Erase(RowId id) override;
   Status Scan(const RowVisitor& fn) const override;
   Status ScanEntries(

@@ -14,13 +14,13 @@ namespace {
 class VectorStore final : public RowStore {
  public:
   Result<Row> Read(RowId id) const override { return *slots_[id]; }
-  Status Put(RowId id, const Row& row) override {
+  Status Put(RowId id, Row row) override {
     if (id >= slots_.size()) slots_.resize(id + 1);
-    slots_[id] = row;
+    slots_[id] = std::move(row);
     return Status::OK();
   }
-  Result<Row> Replace(RowId id, const Row& row) override {
-    return std::exchange(*slots_[id], row);
+  Result<Row> Replace(RowId id, Row row) override {
+    return std::exchange(*slots_[id], std::move(row));
   }
   Result<Row> Erase(RowId id) override {
     Row old = std::move(*slots_[id]);
@@ -108,8 +108,9 @@ Result<RowId> Table::Insert(Row row) {
   // Reuse the lowest tombstoned slot so slot_count() stays bounded by
   // the high-water mark of live rows, not by total inserts.
   RowId id = free_slots_.empty() ? next_rowid_ : *free_slots_.begin();
-  MSQL_RETURN_IF_ERROR(store_->Put(id, normalized));
-  Status indexed = IndexInsert(normalized, id);
+  const std::vector<Value> keys = IndexKeys(normalized);
+  MSQL_RETURN_IF_ERROR(store_->Put(id, std::move(normalized)));
+  Status indexed = IndexInsert(keys, id);
   if (!indexed.ok()) {
     // Compensate the store write so the slot is not half-born; a paged
     // store logs the compensation like any other mutation.
@@ -132,10 +133,11 @@ Status Table::ResurrectRow(RowId id, Row row) {
   if (IsLive(id)) {
     return Status::Internal("resurrect of live slot " + std::to_string(id));
   }
-  MSQL_RETURN_IF_ERROR(store_->Put(id, row));
+  const std::vector<Value> keys = IndexKeys(row);
+  MSQL_RETURN_IF_ERROR(store_->Put(id, std::move(row)));
   free_slots_.erase(id);
   ++live_count_;
-  return IndexInsert(row, id);
+  return IndexInsert(keys, id);
 }
 
 Result<Row> Table::Delete(RowId id) {
@@ -145,7 +147,7 @@ Result<Row> Table::Delete(RowId id) {
   MSQL_ASSIGN_OR_RETURN(Row old, store_->Erase(id));
   free_slots_.insert(id);
   --live_count_;
-  MSQL_RETURN_IF_ERROR(IndexErase(old, id));
+  MSQL_RETURN_IF_ERROR(IndexErase(IndexKeys(old), id));
   return old;
 }
 
@@ -154,9 +156,10 @@ Result<Row> Table::Update(RowId id, Row new_row) {
     return Status::Internal("update of dead slot " + std::to_string(id));
   }
   MSQL_ASSIGN_OR_RETURN(Row normalized, Normalize(std::move(new_row)));
-  MSQL_ASSIGN_OR_RETURN(Row old, store_->Replace(id, normalized));
-  MSQL_RETURN_IF_ERROR(IndexErase(old, id));
-  MSQL_RETURN_IF_ERROR(IndexInsert(normalized, id));
+  const std::vector<Value> keys = IndexKeys(normalized);
+  MSQL_ASSIGN_OR_RETURN(Row old, store_->Replace(id, std::move(normalized)));
+  MSQL_RETURN_IF_ERROR(IndexErase(IndexKeys(old), id));
+  MSQL_RETURN_IF_ERROR(IndexInsert(keys, id));
   return old;
 }
 
@@ -214,27 +217,37 @@ const Index* Table::FindIndexOnColumn(std::string_view column) const {
   return nullptr;
 }
 
-Status Table::IndexInsert(const Row& row, RowId id) {
-  std::vector<Index*> done;
+std::vector<Value> Table::IndexKeys(const Row& row) const {
+  std::vector<Value> keys;
+  keys.reserve(indexes_.size());
   for (const auto& [name, index] : indexes_) {
-    Status status = index->Insert(row[index->column_index()], id);
+    keys.push_back(row[index->column_index()]);
+  }
+  return keys;
+}
+
+Status Table::IndexInsert(const std::vector<Value>& keys, RowId id) {
+  size_t k = 0;
+  for (auto it = indexes_.begin(); it != indexes_.end(); ++it, ++k) {
+    Status status = it->second->Insert(keys[k], id);
     if (!status.ok()) {
       // Back out the entries already made so no index half-covers the
       // row (best effort; the transaction is about to abort anyway).
-      for (Index* undo : done) {
-        (void)undo->Erase(row[undo->column_index()], id);
+      size_t u = 0;
+      for (auto undo = indexes_.begin(); undo != it; ++undo, ++u) {
+        (void)undo->second->Erase(keys[u], id);
       }
       return status;
     }
-    done.push_back(index.get());
   }
   return Status::OK();
 }
 
-Status Table::IndexErase(const Row& row, RowId id) {
+Status Table::IndexErase(const std::vector<Value>& keys, RowId id) {
   Status first_error = Status::OK();
+  size_t k = 0;
   for (const auto& [name, index] : indexes_) {
-    Status status = index->Erase(row[index->column_index()], id);
+    Status status = index->Erase(keys[k++], id);
     if (!status.ok() && first_error.ok()) first_error = status;
   }
   return first_error;

@@ -37,14 +37,16 @@ using RowVisitor = std::function<Status(RowId, Row)>;
 /// The Table picks every RowId and keeps the rowid bookkeeping and the
 /// index maintenance; the store holds rows at the ids it is given. Read,
 /// Replace and Erase are only asked about live ids, Put about free ones.
+/// Put and Replace take the row by value: the Table hands it over, so an
+/// in-memory store moves it into place instead of copying it.
 class RowStore {
  public:
   virtual ~RowStore() = default;
 
   virtual Result<Row> Read(RowId id) const = 0;
-  virtual Status Put(RowId id, const Row& row) = 0;
+  virtual Status Put(RowId id, Row row) = 0;
   /// Replace and Erase return the row's before-image.
-  virtual Result<Row> Replace(RowId id, const Row& row) = 0;
+  virtual Result<Row> Replace(RowId id, Row row) = 0;
   virtual Result<Row> Erase(RowId id) = 0;
   /// Visits every live row in RowId order.
   virtual Status Scan(const RowVisitor& fn) const = 0;
@@ -150,8 +152,12 @@ class Table {
   /// Checks arity and coerces values to the schema's column types.
   Result<Row> Normalize(Row row) const;
 
-  Status IndexInsert(const Row& row, RowId id);
-  Status IndexErase(const Row& row, RowId id);
+  /// The values of `row`'s indexed columns, one per index in `indexes_`
+  /// order: what index maintenance reads once the row itself has moved
+  /// into the store.
+  std::vector<Value> IndexKeys(const Row& row) const;
+  Status IndexInsert(const std::vector<Value>& keys, RowId id);
+  Status IndexErase(const std::vector<Value>& keys, RowId id);
 
   TableSchema schema_;
   std::unique_ptr<RowStore> owned_store_;  // the in-memory vector store

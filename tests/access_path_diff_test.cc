@@ -106,7 +106,7 @@ std::string Grp(Rng* rng) { return "'g" + Num(rng, 0, 3) + "'"; }
 std::string Predicate(Rng* rng, bool typed_only) {
   const std::string a = Num(rng);
   const std::string b = Num(rng);
-  switch (rng->NextBelow(typed_only ? 20 : 25)) {
+  switch (rng->NextBelow(typed_only ? 21 : 27)) {
     case 0: return "id = " + a;
     case 1: return a + " = id";
     case 2: return "id = NULL";
@@ -129,11 +129,14 @@ std::string Predicate(Rng* rng, bool typed_only) {
     // At 2^53 Value::Compare (doubles) and exact keys part ways.
     case 18: return "id = 9007199254740992";
     case 19: return "id > 9007199254740992 AND id <= 9007199254740993";
+    // A built-in call on the right argument class cannot fail: it probes.
+    case 20: return "id = " + a + " AND LENGTH(grp) = 2";
     // Shapes that fail on some rows, next to an indexable bound.
-    case 20: return "id = '" + a + "'";  // INTEGER vs TEXT
-    case 21: return "grp > 3 AND id = " + a;  // TEXT vs INTEGER
-    case 22: return "id = " + a + " AND grp > 3";
-    case 23: return "grp + 1 > 2 AND id >= " + a;  // arithmetic on TEXT
+    case 21: return "id = '" + a + "'";  // INTEGER vs TEXT
+    case 22: return "grp > 3 AND id = " + a;  // TEXT vs INTEGER
+    case 23: return "id = " + a + " AND grp > 3";
+    case 24: return "grp + 1 > 2 AND id >= " + a;  // arithmetic on TEXT
+    case 25: return "LENGTH(id) = 3 AND id = " + a;  // LENGTH of INTEGER
     default: return "ghost = 1 AND id = " + a;  // unknown column
   }
 }

@@ -112,7 +112,9 @@ class CheckerTest : public ::testing::Test {
                            Severity severity) {
     const Diagnostic* d = list.Find(code);
     EXPECT_NE(d, nullptr) << "no " << code << " in:\n" << list.RenderAll();
-    if (d != nullptr) EXPECT_EQ(d->severity, severity) << d->Render();
+    if (d != nullptr) {
+      EXPECT_EQ(d->severity, severity) << d->Render();
+    }
     return d;
   }
 
@@ -575,7 +577,9 @@ const Diagnostic* ExpectDiag(const DiagnosticList& list,
                              std::string_view code, Severity severity) {
   const Diagnostic* d = list.Find(code);
   EXPECT_NE(d, nullptr) << "no " << code << " in:\n" << list.RenderAll();
-  if (d != nullptr) EXPECT_EQ(d->severity, severity) << d->Render();
+  if (d != nullptr) {
+    EXPECT_EQ(d->severity, severity) << d->Render();
+  }
   return d;
 }
 

@@ -167,7 +167,9 @@ void RunMixedWorkload(uint64_t seed, const Mix& mix) {
   // one — and the report says so.
   EXPECT_EQ(TakenOn(*sys) - base_cont, committed_mts + partial_mts);
   EXPECT_EQ(TakenDelta(*sys) - base_delta, committed_mts);
-  if (mix.engine_failure_p == 0.0) EXPECT_EQ(partial_mts, 0);
+  if (mix.engine_failure_p == 0.0) {
+    EXPECT_EQ(partial_mts, 0);
+  }
   // The workload actually contended.
   EXPECT_GT(lock_waits, 0);
   if (mix.engine_failure_p == 0.0) {

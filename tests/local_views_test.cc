@@ -7,7 +7,7 @@
 
 #include "core/mdbs_system.h"
 #include "relational/engine.h"
-#include "relational/schema_infer.h"
+#include "relational/binder.h"
 #include "relational/sql/parser.h"
 
 namespace msql::relational {

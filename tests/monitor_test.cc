@@ -448,7 +448,9 @@ TEST_P(MonitorChaosTest, EveryShedSessionTerminatesWithAWellFormedReport) {
   }
   EXPECT_EQ(seen, kSessions);
   // Consistency: shed sessions exist iff shedding ever engaged.
-  if (shed > 0) EXPECT_GT(monitor.shed_engagements(), 0);
+  if (shed > 0) {
+    EXPECT_GT(monitor.shed_engagements(), 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MonitorChaosTest,

@@ -342,16 +342,29 @@ TEST_F(PlannerTest, GoldenExplainForUpdateAndDelete) {
   EXPECT_EQ(Explain("DELETE FROM flights WHERE fno = 3 AND ghost = 1"),
             "plan: delete flights: scan; filter fno = 3 AND ghost = 1\n");
   // So does a conjunct that can fail on some row (TEXT vs INTEGER,
-  // division, a function call) in either position: a probe would skip
-  // the rows on which the scan raises it.
+  // division, a built-in call on the wrong argument class) in either
+  // position: a probe would skip the rows on which the scan raises it.
   EXPECT_EQ(Explain("DELETE FROM flights WHERE dep > 3 AND fno = 3"),
             "plan: delete flights: scan; filter dep > 3 AND fno = 3\n");
   EXPECT_EQ(Explain("UPDATE flights SET price = 1.0 "
                     "WHERE fno = 3 AND price / 0 > 1"),
             "plan: update flights: scan; filter fno = 3 AND price / 0 > 1\n");
-  EXPECT_EQ(Explain("DELETE FROM flights WHERE fno = 3 AND LENGTH(dep) = 3"),
+  EXPECT_EQ(Explain("DELETE FROM flights WHERE fno = 3 AND LENGTH(fno) = 3"),
             "plan: delete flights: scan; "
+            "filter fno = 3 AND LENGTH(fno) = 3\n");
+  EXPECT_EQ(Explain("UPDATE flights SET price = 1.0 "
+                    "WHERE LENGTH(fno) = 3 AND fno = 3"),
+            "plan: update flights: scan; "
+            "filter LENGTH(fno) = 3 AND fno = 3\n");
+  // A built-in call of the right arity on the right argument classes
+  // cannot fail, so it probes like any well-typed conjunct.
+  EXPECT_EQ(Explain("DELETE FROM flights WHERE fno = 3 AND LENGTH(dep) = 3"),
+            "plan: delete flights: index probe idx_fno [fno = 3]; "
             "filter fno = 3 AND LENGTH(dep) = 3\n");
+  EXPECT_EQ(Explain("UPDATE flights SET price = 1.0 WHERE "
+                    "UPPER(dep) = 'JFK' AND fno = 3 AND ROUND(price, 1) > 1"),
+            "plan: update flights: index probe idx_fno [fno = 3]; "
+            "filter UPPER(dep) = 'JFK' AND fno = 3 AND ROUND(price, 1) > 1\n");
   // Well-typed conjuncts still probe.
   EXPECT_EQ(Explain("DELETE FROM flights WHERE fno = 3 AND dep LIKE 'j%' "
                     "AND price + 1 > 2 AND dep IN ('jfk', NULL)"),
@@ -367,6 +380,26 @@ TEST_F(PlannerTest, GoldenExplainForUpdateAndDelete) {
   EXPECT_EQ(Explain("DELETE FROM flights WHERE fno >= -9007199254740991"),
             "plan: delete flights: index range idx_fno "
             "[fno >= -9007199254740991]; filter fno >= -9007199254740991\n");
+}
+
+TEST_F(PlannerTest, TypedBuiltinCallsKeepTheProbe) {
+  Exec("CREATE TABLE people (id INTEGER, name TEXT)");
+  Exec("INSERT INTO people VALUES (1, 'ann'), (5, 'bob'), (7, 'carol'), "
+       "(9, 'dan')");
+  Exec("CREATE INDEX people_id ON people (id)");
+  for (bool planner : {true, false}) {
+    engine_->set_use_planner(planner);
+    ResultSet rs = Exec("SELECT name FROM people WHERE id = 5 AND "
+                        "LENGTH(name) = 3");
+    ASSERT_EQ(rs.rows.size(), 1u);
+    EXPECT_EQ(rs.rows[0][0], Value::Text("bob"));
+    EXPECT_EQ(rs.rows_scanned, 1);  // the probe fetched one row
+    auto wrong = engine_->Execute(
+        session_, "SELECT name FROM people WHERE id = 5 AND LENGTH(id) = 3");
+    ASSERT_FALSE(wrong.ok());
+    EXPECT_EQ(wrong.status().message(), "LENGTH requires a text argument");
+  }
+  engine_->set_use_planner(true);
 }
 
 TEST_F(PlannerTest, EveryProbeIsCounted) {
